@@ -184,8 +184,6 @@ class CheckerboardUpdater:
         return self.backend.array(plain_to_grid(plain, self.block_shape))
 
     def to_plain(self, grid: np.ndarray) -> np.ndarray:
-        if grid.ndim == 5:
-            return np.stack([grid_to_plain(g) for g in grid])
         return grid_to_plain(grid)
 
     def sweep_plain(

@@ -200,9 +200,50 @@ class CompactUpdater:
         probs_black: tuple[np.ndarray, np.ndarray] | None = None,
         probs_white: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> CompactLattice:
-        """One full sweep: black phase then white phase."""
+        """One full sweep: black phase then white phase.
+
+        The fused engine drawing from a stream makes one draw for the
+        whole sweep (see :meth:`_sweep_uniforms`); the elementwise and
+        explicit-``probs`` paths draw per phase.
+        """
+        if self.fused and probs_black is None and probs_white is None:
+            if stream is None:
+                raise ValueError("either stream or probs must be provided")
+            p00, p11, p01, p10 = self._sweep_uniforms(lat.grid_shape, stream)
+            lat = self._update_color_fused(lat, "black", None, (p00, p11), None)
+            return self._update_color_fused(lat, "white", None, (p01, p10), None)
         lat = self.update_color(lat, "black", stream, probs_black)
         return self.update_color(lat, "white", stream, probs_white)
+
+    def _sweep_uniforms(
+        self, grid_shape: tuple[int, ...], stream: PhiloxStream
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Draw one sweep's uniforms in a single ``uniform_into`` call.
+
+        Returns views ``(p00, p11, p01, p10)`` into one workspace buffer
+        laid out in the per-phase draw order: black s00, s11, then white
+        s01, s10.  Each segment is padded to whole 4-word Philox counter
+        blocks, which is exactly the tail a separate draw of one
+        sub-lattice discards, so the words, the uniforms and the final
+        counters equal four per-sub-lattice draws at every lattice side.
+        The views are built once per shape; a traced replay refills the
+        buffer and the phases read the fresh values through them.
+        """
+        _, ws = self._fused_ctx()
+        batch = grid_shape[:-4]
+        sites = int(np.prod(grid_shape[-4:]))
+        segment = 4 * -(-sites // 4)
+        buf = ws.buffer("sweep_uniforms", batch + (4 * segment,))
+
+        def views():
+            return tuple(
+                buf[..., k * segment : k * segment + sites].reshape(grid_shape)
+                for k in range(4)
+            )
+
+        parts = ws.constant(("sweep_uniform_views", grid_shape), views)
+        self.backend.uniform_into(stream, buf)
+        return parts
 
     # -- plain-lattice conveniences ---------------------------------------
 

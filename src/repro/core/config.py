@@ -97,19 +97,22 @@ def resolve_overlap(overlap: "bool | str") -> "bool | str":
 
 
 def default_block_shape(
-    updater: str, shape: "tuple[int, int]"
+    updater: str, shape: "tuple[int, int]", dtype: str = "float32"
 ) -> "tuple[int, int] | None":
     """The driver's default block decomposition for ``updater`` on ``shape``.
 
     This is the single source of truth consumed by the drivers *and* by
-    the scheduler's cache key (:mod:`repro.sched.cache`), so an unset
-    ``block_shape`` and its spelled-out default can never drift apart:
+    the scheduler's cache key and batch plan (:mod:`repro.sched`), so an
+    unset ``block_shape`` and its spelled-out default can never drift
+    apart:
 
+    * ``dtype="packed"`` runs unblocked (and rejects an explicit block):
+      its spins are 64-bit words per compact quarter;
     * ``masked_conv`` runs unblocked (and rejects an explicit block);
     * ``checkerboard`` defaults to one block covering the whole lattice;
     * ``compact`` / ``conv`` default to a 2x2 grid of half-lattice blocks.
     """
-    if updater == "masked_conv":
+    if dtype == "packed" or updater == "masked_conv":
         return None
     rows, cols = (int(shape[0]), int(shape[1]))
     if updater == "checkerboard":

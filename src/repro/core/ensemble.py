@@ -28,8 +28,8 @@ import numpy as np
 
 from ..backend.base import Backend
 from ..backend.numpy_backend import NumpyBackend
-from ..observables.energy import energy_per_spin
-from ..observables.magnetization import magnetization
+from ..observables.energy import energies_per_spin
+from ..observables.magnetization import magnetizations
 from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
 from .checkerboard import CheckerboardUpdater
@@ -566,18 +566,14 @@ class EnsembleSimulation:
         telemetry.record_sweep(perf_counter() - start)
         if telemetry.wants_physics(self.sweeps_done):
             plains = self.lattices
-            mean_m = float(
-                np.mean([magnetization(p) for p in plains])
-            )
+            mean_m = float(np.mean(magnetizations(plains)))
             if self.couplings is not None:
                 mean_e = float(
                     np.mean(bond_total_energy(plains, self.couplings))
                     / self.n_sites
                 )
             else:
-                mean_e = float(
-                    np.mean([energy_per_spin(p) for p in plains])
-                )
+                mean_e = float(np.mean(energies_per_spin(plains)))
             telemetry.record_physics(plains, mean_m, mean_e)
 
     def run(self, n_sweeps: int) -> None:
@@ -599,21 +595,27 @@ class EnsembleSimulation:
     # -- observables ---------------------------------------------------------
 
     def magnetizations(self) -> np.ndarray:
-        """Per-chain signed magnetization, shaped ``(B,)``."""
-        plains = self.lattices
-        return np.array([magnetization(p) for p in plains], dtype=np.float64)
+        """Per-chain signed magnetization, shaped ``(B,)``.
+
+        One batched reduction over the chain axis, bit-equal to
+        :func:`~repro.observables.magnetization.magnetization` per chain.
+        """
+        return magnetizations(self.lattices)
 
     def energies_per_spin(self) -> np.ndarray:
         """Per-chain (zero-field) energy per site, shaped ``(B,)``.
 
         With disordered couplings the bond energy uses the quenched
-        ``J_ij`` planes; the clean ferromagnet keeps the historical
-        :func:`~repro.observables.energy.energy_per_spin` estimator.
+        ``J_ij`` planes; the clean ferromagnet uses the batched
+        estimator, bit-equal to
+        :func:`~repro.observables.energy.energy_per_spin` per chain.
         """
-        plains = self.lattices
+        return self._energies(self.lattices)
+
+    def _energies(self, plains: np.ndarray) -> np.ndarray:
         if self.couplings is not None:
             return bond_total_energy(plains, self.couplings) / self.n_sites
-        return np.array([energy_per_spin(p) for p in plains], dtype=np.float64)
+        return energies_per_spin(plains)
 
     def total_energies(self) -> np.ndarray:
         """Per-chain total Hamiltonian (couplings- and field-aware), ``(B,)``.
@@ -649,15 +651,8 @@ class EnsembleSimulation:
         for k in range(n_samples):
             self.run(thin)
             plains = self.lattices
-            for b in range(self.n_chains):
-                m_series[b, k] = magnetization(plains[b])
-            if self.couplings is not None:
-                e_series[:, k] = (
-                    bond_total_energy(plains, self.couplings) / self.n_sites
-                )
-            else:
-                for b in range(self.n_chains):
-                    e_series[b, k] = energy_per_spin(plains[b])
+            m_series[:, k] = magnetizations(plains)
+            e_series[:, k] = self._energies(plains)
         return [
             summarize_chain(self.temperatures[b], m_series[b], e_series[b])
             for b in range(self.n_chains)

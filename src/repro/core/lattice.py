@@ -83,11 +83,22 @@ def plain_to_grid(plain: np.ndarray, block_shape: tuple[int, int]) -> np.ndarray
 
 
 def grid_to_plain(grid: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`plain_to_grid`."""
-    if grid.ndim != 4:
-        raise ValueError(f"expected a rank-4 grid, got shape {grid.shape}")
-    m, n, r, c = grid.shape
-    return np.ascontiguousarray(grid.transpose(0, 2, 1, 3).reshape(m * r, n * c))
+    """Inverse of :func:`plain_to_grid`.
+
+    A rank-5 ``[batch, m, n, r, c]`` stack of grids maps to a
+    ``(batch, m * r, n * c)`` stack of plain lattices in one copy.  The
+    result never shares memory with ``grid`` (a 1 x 1 grid would
+    otherwise reshape to a view of the state that in-place sweeps
+    mutate).
+    """
+    if grid.ndim not in (4, 5):
+        raise ValueError(
+            f"expected a rank-4 grid (rank 5 when batched), got shape {grid.shape}"
+        )
+    *batch, m, n, r, c = grid.shape
+    plain = np.empty((*batch, m * r, n * c), dtype=grid.dtype)
+    np.copyto(plain.reshape(*batch, m, r, n, c), grid.swapaxes(-3, -2))
+    return plain
 
 
 def plain_to_quarters(
@@ -113,16 +124,20 @@ def plain_to_quarters(
 def quarters_to_plain(
     q00: np.ndarray, q01: np.ndarray, q10: np.ndarray, q11: np.ndarray
 ) -> np.ndarray:
-    """Inverse of :func:`plain_to_quarters`."""
-    h, w = q00.shape
+    """Inverse of :func:`plain_to_quarters`.
+
+    Quarters with a leading batch axis, ``(batch, H, W)``, interleave
+    into a ``(batch, 2H, 2W)`` stack.
+    """
+    *batch, h, w = q00.shape
     for name, q in (("q01", q01), ("q10", q10), ("q11", q11)):
-        if q.shape != (h, w):
+        if q.shape != q00.shape:
             raise ValueError(f"{name} shape {q.shape} != q00 shape {q00.shape}")
-    plain = np.empty((2 * h, 2 * w), dtype=np.float32)
-    plain[0::2, 0::2] = q00
-    plain[0::2, 1::2] = q01
-    plain[1::2, 0::2] = q10
-    plain[1::2, 1::2] = q11
+    plain = np.empty((*batch, 2 * h, 2 * w), dtype=np.float32)
+    plain[..., 0::2, 0::2] = q00
+    plain[..., 0::2, 1::2] = q01
+    plain[..., 1::2, 0::2] = q10
+    plain[..., 1::2, 1::2] = q11
     return plain
 
 
@@ -246,8 +261,6 @@ class CompactLattice:
         Returns ``(2H, 2W)`` for the unbatched form and
         ``(batch, 2H, 2W)`` for the batched form.
         """
-        if self.batched:
-            return np.stack([self.chain(b).to_plain() for b in range(self.n_chains)])
         return quarters_to_plain(
             grid_to_plain(self.s00),
             grid_to_plain(self.s01),

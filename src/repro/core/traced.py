@@ -34,12 +34,6 @@ it recorded.  Any change — checkpoint restore, ensemble roster rebuild,
 distributed topology rebuild, or a new shape/dtype/beta/field/fused
 configuration (all of which rebuild the updater and its buffers) —
 invalidates the trace and the next run re-records.
-
-When :mod:`numba` is importable, qualifying flip sequences inside a
-recorded program are additionally fused into one JIT-compiled kernel
-(see :func:`_fuse_flip_steps`); the import is guarded and the pure-Python
-replay path is authoritative — absence of numba only means the replay
-loop stays a loop of pre-bound backend calls.
 """
 
 from __future__ import annotations
@@ -51,16 +45,7 @@ import numpy as np
 from ..backend.base import Backend
 from .kernels import PhaseHalos
 
-try:  # optional: JIT-fused replay of recognised flip sequences
-    import numba  # type: ignore
-except ImportError:  # pragma: no cover - exercised when numba is absent
-    numba = None
-
-#: Whether the optional numba replay path is available in this process.
-HAVE_NUMBA = numba is not None
-
 __all__ = [
-    "HAVE_NUMBA",
     "REPLAYABLE_OPS",
     "ALLOCATING_OPS",
     "SweepTrace",
@@ -137,9 +122,9 @@ class SweepTrace:
     """One recorded sweep: an ordered (op, args) program plus soundness.
 
     ``record`` appends entries during the recording sweep; ``compile``
-    freezes them into a list of pre-bound callables (optionally fusing
-    flip sequences through numba); ``replay`` runs the program once —
-    one full sweep's worth of backend ops, no updater logic.
+    freezes them into a list of pre-bound callables; ``replay`` runs the
+    program once — one full sweep's worth of backend ops, no updater
+    logic.
     """
 
     def __init__(self) -> None:
@@ -147,7 +132,6 @@ class SweepTrace:
         self._steps: list | None = None
         self.sound = True
         self.unsound_ops: list[str] = []
-        self.numba_fused = 0
 
     def record(self, name: str, fn, args: tuple, kwargs: dict) -> None:
         self._entries.append((name, fn, args, kwargs))
@@ -158,20 +142,17 @@ class SweepTrace:
 
     @property
     def n_ops(self) -> int:
-        """Recorded backend ops per sweep (before any numba fusion)."""
+        """Recorded backend ops per sweep."""
         return len(self._entries)
 
-    def compile(self, backend: Backend) -> "SweepTrace":
+    def compile(self) -> "SweepTrace":
         """Freeze the recorded entries into pre-bound replay callables."""
         if not self.sound:
             raise RuntimeError(
                 f"cannot compile an unsound trace (saw {self.unsound_ops})"
             )
-        entries = self._entries
-        if HAVE_NUMBA:
-            entries, self.numba_fused = _fuse_flip_steps(entries, backend)
         steps = []
-        for name, fn, args, kwargs in entries:
+        for name, fn, args, kwargs in self._entries:
             if kwargs:
                 steps.append(partial(fn, *args, **kwargs))
             else:
@@ -339,7 +320,7 @@ class TracedExecutor(_TracedBase):
             updater.backend = real
         self.sweeps_eager += 1  # the recording sweep advanced the chain
         if trace.sound and trace.n_ops > 0:
-            self.trace = trace.compile(real)
+            self.trace = trace.compile()
             self.traces_recorded += 1
         else:
             # Not a steady-state fused sweep (cold cache or elementwise
@@ -445,7 +426,7 @@ class PhaseTracedExecutor(_TracedBase):
             updater.backend = real
         self.sweeps_eager += 1
         if trace.sound and trace.n_ops > 0:
-            self.traces[color] = trace.compile(real)
+            self.traces[color] = trace.compile()
             self.traces_recorded += 1
         else:
             self._fallback = True
@@ -483,135 +464,3 @@ def record_traced_metrics(registry, *executors) -> None:
     registry.gauge("traced_fallbacks").set(fallbacks)
     registry.gauge("traced_program_ops").set(ops)
 
-
-# -- optional numba acceleration -------------------------------------------
-
-def _backend_numba_eligible(backend: Backend) -> bool:
-    """Numba fusion must not swallow cost accounting or store rounding.
-
-    Only a plain no-accounting backend (the base no-op ``_charge``) with
-    identity store rounding (float32) qualifies; TPU cost-model backends
-    and bfloat16 replay through the recorded backend ops unchanged.
-    """
-    return (
-        type(backend)._charge is Backend._charge
-        and backend.dtype.quantize_into is None
-    )
-
-
-_FLIP_KERNEL = None
-
-
-def _flip_kernel():  # pragma: no cover - requires numba
-    """Build (once) the JIT kernel for the scalar-beta, maskless flip.
-
-    Mirrors the recorded op pentad exactly in float32: ``idx = int(5 *
-    sigma + nn)`` truncated toward zero, table gather with wrap, strict
-    ``probs < entry`` comparison, and the exact ±1 flip product.
-    """
-    global _FLIP_KERNEL
-    if _FLIP_KERNEL is None:
-        @numba.njit(cache=False)
-        def kernel(sigma, nn, probs, entries):
-            m = entries.shape[0]
-            for k in range(sigma.shape[0]):
-                idx = int(np.float32(sigma[k] * np.float32(5.0) + nn[k]))
-                f = (
-                    np.float32(1.0)
-                    if probs[k] < entries[idx % m]
-                    else np.float32(0.0)
-                )
-                sigma[k] = sigma[k] * (np.float32(1.0) - np.float32(2.0) * f)
-
-        _FLIP_KERNEL = kernel
-    return _FLIP_KERNEL
-
-
-def _is_flip_pentad(entries, i) -> "tuple | None":  # pragma: no cover
-    """Match the maskless fused_metropolis_flip op sequence at index ``i``.
-
-    Returns ``(sigma, nn, probs, table_entries)`` when entries[i:i+6] is
-    exactly acceptance_index/take/less/multiply(-2)/add(1)/multiply with
-    consistent buffer identities and no per-chain offsets, else None.
-    """
-    if i + 6 > len(entries):
-        return None
-    names = [entries[i + k][0] for k in range(6)]
-    if names != [
-        "acceptance_index_into",
-        "take_into",
-        "less_into",
-        "multiply_into",
-        "add_into",
-        "multiply_into",
-    ]:
-        return None
-    _, _, a_args, a_kwargs = entries[i]
-    if a_kwargs.get("offsets") is not None or (
-        len(a_args) >= 5 and a_args[4] is not None
-    ):
-        return None
-    sigma, nn, idx = a_args[0], a_args[1], a_args[2]
-    _, _, t_args, _ = entries[i + 1]
-    table_entries, ratio = t_args[0], t_args[2]
-    if t_args[1] is not idx:
-        return None
-    _, _, l_args, _ = entries[i + 2]
-    probs, flips = l_args[0], l_args[2]
-    if l_args[1] is not ratio:
-        return None
-    _, _, m2_args, _ = entries[i + 3]
-    if m2_args[0] is not flips or m2_args[2] is not flips:
-        return None
-    if np.size(m2_args[1]) != 1 or float(np.ravel(m2_args[1])[0]) != -2.0:
-        return None
-    _, _, a1_args, _ = entries[i + 4]
-    if a1_args[0] is not flips or a1_args[2] is not flips:
-        return None
-    if np.size(a1_args[1]) != 1 or float(np.ravel(a1_args[1])[0]) != 1.0:
-        return None
-    _, _, mf_args, _ = entries[i + 5]
-    if mf_args[0] is not sigma or mf_args[1] is not flips or mf_args[2] is not sigma:
-        return None
-    arrays = (sigma, nn, probs, table_entries)
-    for arr in arrays:
-        if arr.dtype != np.float32 or not arr.flags["C_CONTIGUOUS"]:
-            return None
-    return arrays
-
-
-def _fuse_flip_steps(entries, backend):  # pragma: no cover - requires numba
-    """Collapse recognised flip pentads into single JIT kernel calls.
-
-    Returns ``(new_entries, n_fused)``.  Any failure — ineligible
-    backend, unmatched patterns, numba compilation errors — degrades
-    gracefully to the unfused program, never to an error: the recorded
-    backend ops are always a correct replay on their own.
-    """
-    if not _backend_numba_eligible(backend):
-        return entries, 0
-    try:
-        kernel = _flip_kernel()
-        fused: list = []
-        n_fused = 0
-        i = 0
-        while i < len(entries):
-            match = _is_flip_pentad(entries, i)
-            if match is None:
-                fused.append(entries[i])
-                i += 1
-                continue
-            sigma, nn, probs, table_entries = match
-            fused.append(
-                (
-                    "numba_flip",
-                    kernel,
-                    (sigma.ravel(), nn.ravel(), probs.ravel(), table_entries),
-                    {},
-                )
-            )
-            n_fused += 1
-            i += 6
-        return fused, n_fused
-    except Exception:
-        return entries, 0

@@ -7,7 +7,7 @@ from .binder import (
     spin_glass_binder,
 )
 from .correlation import correlation_function, correlation_length, susceptibility
-from .energy import energy_per_spin, specific_heat, total_energy
+from .energy import energies_per_spin, energy_per_spin, specific_heat, total_energy
 from .exact import (
     boltzmann_distribution,
     checkerboard_phase_matrix,
@@ -15,7 +15,7 @@ from .exact import (
     enumerate_states,
     exact_observables,
 )
-from .magnetization import abs_magnetization, magnetization
+from .magnetization import abs_magnetization, magnetization, magnetizations
 from .onsager import (
     BETA_CRITICAL,
     T_CRITICAL,
@@ -39,6 +39,7 @@ __all__ = [
     "correlation_function",
     "correlation_length",
     "susceptibility",
+    "energies_per_spin",
     "energy_per_spin",
     "specific_heat",
     "total_energy",
@@ -49,6 +50,7 @@ __all__ = [
     "exact_observables",
     "abs_magnetization",
     "magnetization",
+    "magnetizations",
     "BETA_CRITICAL",
     "T_CRITICAL",
     "critical_temperature",

@@ -27,6 +27,7 @@ __all__ = [
     "philox4x32",
     "philox_uniform_bits",
     "philox_uniform_bits_batched",
+    "PHILOX_PASS_COUNTERS",
     "make_philox_scratch",
     "philox_bits_into",
     "uint32_to_uniform",
@@ -205,40 +206,76 @@ def philox_uniform_bits_batched(
     return out.transpose(1, 2, 0).reshape(n_streams, -1)[:, :n_words]
 
 
+#: Philox counters evaluated per pass of :func:`philox_bits_into`, summed
+#: over streams.  A draw longer than this walks its counter range in
+#: passes, so the round network's temporaries (about 48 bytes per
+#: counter) stay bounded and cache-sized however long the draw: 16,384
+#: counters is 65,536 words, one sub-lattice of a 512^2 compact sweep,
+#: so a 262,144-word whole-sweep draw costs four such passes, no more
+#: time or memory than four per-sub-lattice draws.
+PHILOX_PASS_COUNTERS = 16384
+
+
 def make_philox_scratch(n_streams: int, n_words: int) -> dict:
     """Preallocate every buffer :func:`philox_bits_into` needs.
 
     The returned dict is an opaque workspace sized for ``n_streams``
     independent streams drawing ``n_words`` words each; reusing it across
-    calls is what makes the in-place generator allocation-free.
+    calls is what makes the in-place generator allocation-free.  Its
+    size is bounded by one pass (:data:`PHILOX_PASS_COUNTERS`), however
+    long the draw.
     """
     if n_streams < 1:
         raise ValueError(f"n_streams must be >= 1, got {n_streams}")
     if n_words < 1:
         raise ValueError(f"n_words must be >= 1, got {n_words}")
     n_counters = -(-n_words // 4)
-    shape = (n_streams, n_counters)
+    pass_cols = max(1, min(n_counters, PHILOX_PASS_COUNTERS // n_streams))
+    size = n_streams * pass_cols
     scratch = {
         "n_streams": n_streams,
         "n_words": n_words,
         "n_counters": n_counters,
-        "idx": np.arange(n_counters, dtype=np.uint64).reshape(1, -1),
+        "pass_cols": pass_cols,
+        "idx": np.arange(pass_cols, dtype=np.uint64).reshape(1, -1),
         "base_lo": np.empty((n_streams, 1), dtype=np.uint64),
         "base_hi": np.empty((n_streams, 1), dtype=np.uint64),
-        "lo": np.empty(shape, dtype=np.uint64),
-        "hi": np.empty(shape, dtype=np.uint64),
-        "carry": np.empty(shape, dtype=bool),
-        "p0": np.empty(shape, dtype=np.uint64),
-        "p1": np.empty(shape, dtype=np.uint64),
-        "c": np.empty((4,) + shape, dtype=np.uint32),
+        "lo": np.empty(size, dtype=np.uint64),
+        "hi": np.empty(size, dtype=np.uint64),
+        "carry": np.empty(size, dtype=bool),
+        "p0": np.empty(size, dtype=np.uint64),
+        "p1": np.empty(size, dtype=np.uint64),
+        "c": np.empty((4, size), dtype=np.uint32),
         "k0": np.empty((n_streams, 1), dtype=np.uint32),
         "k1": np.empty((n_streams, 1), dtype=np.uint32),
+        # (n_streams, w)-shaped views of the flat buffers, one set per
+        # pass width seen (at most two: full passes and the last one).
+        "views": {},
     }
     if n_words % 4 != 0:
-        scratch["bits_pad"] = np.empty(
-            (n_streams, n_counters * 4), dtype=np.uint32
-        )
+        scratch["bits_pad"] = np.empty(4 * size, dtype=np.uint32)
     return scratch
+
+
+def _pass_views(scratch: dict, width: int) -> tuple:
+    """The scratch buffers viewed as C-contiguous ``(n_streams, width)``."""
+    views = scratch["views"].get(width)
+    if views is None:
+        n_streams = scratch["n_streams"]
+        m = n_streams * width
+        shape = (n_streams, width)
+        c = scratch["c"]
+        views = (
+            scratch["idx"][:, :width],
+            scratch["lo"][:m].reshape(shape),
+            scratch["hi"][:m].reshape(shape),
+            scratch["carry"][:m].reshape(shape),
+            scratch["p0"][:m].reshape(shape),
+            scratch["p1"][:m].reshape(shape),
+            tuple(c[i, :m].reshape(shape) for i in range(4)),
+        )
+        scratch["views"][width] = views
+    return views
 
 
 def philox_bits_into(
@@ -255,7 +292,9 @@ def philox_bits_into(
     same round network, same lane interleave.  All intermediates live in
     ``scratch`` (from :func:`make_philox_scratch` with matching
     ``n_streams``/``n_words``); ``out`` must be a C-contiguous
-    ``(n_streams, n_words)`` uint32 array.
+    ``(n_streams, n_words)`` uint32 array.  Long draws run in passes of
+    at most :data:`PHILOX_PASS_COUNTERS` counters; the words do not
+    depend on the pass split.
     """
     n_streams = scratch["n_streams"]
     n_words = scratch["n_words"]
@@ -277,20 +316,9 @@ def philox_bits_into(
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
 
+    starts = [int(start) % (1 << 128) for start in start_counters]
     base_lo = scratch["base_lo"]
     base_hi = scratch["base_hi"]
-    for b, start in enumerate(start_counters):
-        start = int(start) % (1 << 128)
-        base_lo[b, 0] = start & ((1 << 64) - 1)
-        base_hi[b, 0] = start >> 64
-
-    lo = scratch["lo"]
-    hi = scratch["hi"]
-    carry = scratch["carry"]
-    c = scratch["c"]
-    c0, c1, c2, c3 = c[0], c[1], c[2], c[3]
-    p0 = scratch["p0"]
-    p1 = scratch["p1"]
     if n_streams == 1:
         # Scalar keys broadcast cheaper than (1, 1) arrays; precompute the
         # whole Weyl schedule from Python ints so nothing wraps at runtime.
@@ -305,60 +333,77 @@ def philox_bits_into(
         key_schedule = None
         k0 = scratch["k0"]
         k1 = scratch["k1"]
-        k0[:, 0] = keys[:, 0]
-        k1[:, 0] = keys[:, 1]
 
-    with np.errstate(over="ignore"):
-        # Counter block: lo/hi limbs with carry, split into 32-bit lanes.
-        np.add(base_lo, scratch["idx"], out=lo)
-        np.less(lo, base_lo, out=carry)
-        np.copyto(hi, carry, casting="unsafe")
-        np.add(hi, base_hi, out=hi)
-        np.copyto(c0, lo, casting="unsafe")
-        np.right_shift(lo, _SHIFT32, out=lo)
-        np.copyto(c1, lo, casting="unsafe")
-        np.copyto(c2, hi, casting="unsafe")
-        np.right_shift(hi, _SHIFT32, out=hi)
-        np.copyto(c3, hi, casting="unsafe")
+    pass_cols = scratch["pass_cols"]
+    for first in range(0, n_counters, pass_cols):
+        width = min(pass_cols, n_counters - first)
+        idx, lo, hi, carry, p0, p1, c = _pass_views(scratch, width)
+        c0, c1, c2, c3 = c
+        for b, start in enumerate(starts):
+            start = (start + first) % (1 << 128)
+            base_lo[b, 0] = start & ((1 << 64) - 1)
+            base_hi[b, 0] = start >> 64
+        if key_schedule is None:
+            k0[:, 0] = keys[:, 0]
+            k1[:, 0] = keys[:, 1]
 
-        # Round network, identical to philox4x32 but with every temporary
-        # drawn from scratch.  ``copyto`` with unsafe casting truncates
-        # uint64 -> uint32, i.e. keeps the low word.
-        for r in range(rounds):
-            if key_schedule is not None:
-                k0, k1 = key_schedule[r]
-            np.multiply(c0, PHILOX_M0, out=p0)
-            np.multiply(c2, PHILOX_M1, out=p1)
-            # new c2 = hi(p0) ^ old c3 ^ k1; old c2 already consumed.
-            np.right_shift(p0, _SHIFT32, out=hi)
+        with np.errstate(over="ignore"):
+            # Counter block: lo/hi limbs with carry, split into 32-bit lanes.
+            np.add(base_lo, idx, out=lo)
+            np.less(lo, base_lo, out=carry)
+            np.copyto(hi, carry, casting="unsafe")
+            np.add(hi, base_hi, out=hi)
+            np.copyto(c0, lo, casting="unsafe")
+            np.right_shift(lo, _SHIFT32, out=lo)
+            np.copyto(c1, lo, casting="unsafe")
             np.copyto(c2, hi, casting="unsafe")
-            np.bitwise_xor(c2, c3, out=c2)
-            np.bitwise_xor(c2, k1, out=c2)
-            # new c3 = lo(p0); old c3 consumed above.
-            np.copyto(c3, p0, casting="unsafe")
-            # new c0 = hi(p1) ^ old c1 ^ k0; old c0 already consumed.
-            np.right_shift(p1, _SHIFT32, out=hi)
-            np.copyto(c0, hi, casting="unsafe")
-            np.bitwise_xor(c0, c1, out=c0)
-            np.bitwise_xor(c0, k0, out=c0)
-            # new c1 = lo(p1); old c1 consumed above.
-            np.copyto(c1, p1, casting="unsafe")
-            if key_schedule is None:
-                np.add(k0, PHILOX_W0, out=k0)
-                np.add(k1, PHILOX_W1, out=k1)
+            np.right_shift(hi, _SHIFT32, out=hi)
+            np.copyto(c3, hi, casting="unsafe")
 
-    # Interleave lanes exactly like the allocating paths: word i of
-    # counter j comes from output lane i of counter j.
-    if n_words % 4 == 0:
-        lanes = out.reshape(n_streams, n_counters, 4)
-        for i in range(4):
-            np.copyto(lanes[:, :, i], c[i])
-    else:
-        pad = scratch["bits_pad"]
-        lanes = pad.reshape(n_streams, n_counters, 4)
-        for i in range(4):
-            np.copyto(lanes[:, :, i], c[i])
-        np.copyto(out, pad[:, :n_words])
+            # Round network, identical to philox4x32 but with every
+            # temporary drawn from scratch.  ``copyto`` with unsafe casting
+            # truncates uint64 -> uint32, i.e. keeps the low word.
+            for r in range(rounds):
+                if key_schedule is not None:
+                    k0, k1 = key_schedule[r]
+                np.multiply(c0, PHILOX_M0, out=p0)
+                np.multiply(c2, PHILOX_M1, out=p1)
+                # new c2 = hi(p0) ^ old c3 ^ k1; old c2 already consumed.
+                np.right_shift(p0, _SHIFT32, out=hi)
+                np.copyto(c2, hi, casting="unsafe")
+                np.bitwise_xor(c2, c3, out=c2)
+                np.bitwise_xor(c2, k1, out=c2)
+                # new c3 = lo(p0); old c3 consumed above.
+                np.copyto(c3, p0, casting="unsafe")
+                # new c0 = hi(p1) ^ old c1 ^ k0; old c0 already consumed.
+                np.right_shift(p1, _SHIFT32, out=hi)
+                np.copyto(c0, hi, casting="unsafe")
+                np.bitwise_xor(c0, c1, out=c0)
+                np.bitwise_xor(c0, k0, out=c0)
+                # new c1 = lo(p1); old c1 consumed above.
+                np.copyto(c1, p1, casting="unsafe")
+                if key_schedule is None:
+                    np.add(k0, PHILOX_W0, out=k0)
+                    np.add(k1, PHILOX_W1, out=k1)
+
+        # Interleave lanes exactly like the allocating paths: word i of
+        # counter j comes from output lane i of counter j.  Only the last
+        # pass of a draw whose length is not a multiple of 4 goes through
+        # the pad, which drops the unused tail words.
+        lo_word = 4 * first
+        hi_word = min(n_words, 4 * (first + width))
+        if hi_word - lo_word == 4 * width:
+            lanes = out[:, lo_word:hi_word].reshape(n_streams, width, 4)
+            for i in range(4):
+                np.copyto(lanes[:, :, i], c[i])
+        else:
+            pad = scratch["bits_pad"][: 4 * n_streams * width].reshape(
+                n_streams, 4 * width
+            )
+            lanes = pad.reshape(n_streams, width, 4)
+            for i in range(4):
+                np.copyto(lanes[:, :, i], c[i])
+            np.copyto(out[:, lo_word:hi_word], pad[:, : hi_word - lo_word])
     return out
 
 

@@ -69,7 +69,9 @@ def _resolved_block_shape(config, shape: tuple[int, int]):
     if config.block_shape is not None:
         rows, cols = config.block_shape
         return (int(rows), int(cols))
-    return default_block_shape(config.updater, shape)
+    return default_block_shape(
+        config.updater, shape, resolve_dtype(config.dtype).name
+    )
 
 
 def _initial_token(initial) -> str:

@@ -12,12 +12,19 @@ from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.fused import SweepWorkspace, record_fused_metrics
 from repro.core.simulation import IsingSimulation, resolve_fused
+from repro.rng import PhiloxStream
 from repro.core.update import acceptance_ratio
 from repro.telemetry import MetricsRegistry, RunTelemetry
 from repro.tpu.tensorcore import TensorCore
 
 DTYPES = ["float32", "bfloat16"]
 UPDATERS = ["checkerboard", "compact", "conv", "masked_conv"]
+
+
+def make_plain(side, seed):
+    return np.where(
+        np.random.default_rng(seed).random((side, side)) < 0.5, -1.0, 1.0
+    ).astype(np.float32)
 
 
 def _table_probs(backend, beta, field=0.0):
@@ -154,6 +161,85 @@ class TestBitIdentity:
             )
             solo.run(4)
             np.testing.assert_array_equal(ens.lattices[chain], solo.lattice)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("side", [6, 10, 64])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_draw_sweep_matches_per_phase_draws(self, dtype, side, traced):
+        # The fused compact sweep draws all four sub-lattices' uniforms in
+        # one call; sides 6 and 10 have 9 and 25 sites per sub-lattice, so
+        # every segment carries counter-block padding.
+        def make(fused):
+            return IsingSimulation(
+                side, 2.2, updater="compact", backend=NumpyBackend(dtype),
+                seed=3, fused=fused, traced=traced and fused,
+            )
+
+        one_draw, per_phase = make(True), make(False)
+        for sim in (one_draw, per_phase):
+            sim.run(4)
+        resumed = IsingSimulation.from_state_dict(one_draw.state_dict())
+        for sim in (one_draw, per_phase, resumed):
+            sim.run(5)
+        for sim in (one_draw, resumed):
+            np.testing.assert_array_equal(sim.lattice, per_phase.lattice)
+            assert sim.stream.state() == per_phase.stream.state()
+
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("side", [6, 10, 64])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_one_draw_sweep_unaligned_ensemble(self, dtype, side, traced):
+        # Three chains joined mid-flight with counters 2, 0 and 5 apart.
+        rows = []
+        for sid, words in enumerate((7, 0, 20)):
+            stream = PhiloxStream(13, sid)
+            stream.random_bits(words)
+            rows.append((2.0 + 0.4 * sid, stream, make_plain(side, sid)))
+
+        def make(fused):
+            return EnsembleSimulation.from_chains(
+                side,
+                [(t, PhiloxStream.from_state(s.state()), p) for t, s, p in rows],
+                backend=NumpyBackend(dtype), fused=fused,
+                traced=traced and fused,
+            )
+
+        one_draw, per_phase = make(True), make(False)
+        assert len(set(one_draw.stream.counters)) == 3
+        for ens in (one_draw, per_phase):
+            ens.run(4)
+        resumed = EnsembleSimulation.from_state_dict(one_draw.state_dict())
+        for ens in (one_draw, per_phase, resumed):
+            ens.run(5)
+        for ens in (one_draw, resumed):
+            np.testing.assert_array_equal(ens.lattices, per_phase.lattices)
+            assert ens.stream.counters == per_phase.stream.counters
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_one_draw_phase_operands_are_sweep_buffer_views(self, batch):
+        # Replay refills the sweep buffer in place; the recorded phases
+        # must read the four segments through views, never copies.
+        side = 10
+        if batch:
+            sim = EnsembleSimulation(side, [2.0, 2.3, 2.6], seed=2, traced=True)
+        else:
+            sim = IsingSimulation(side, 2.2, seed=2, traced=True)
+        sim.run(3)
+        ws = sim._updater.workspace
+        segment = 4 * -(-(side // 2) ** 2 // 4)
+        buf = ws.buffer("sweep_uniforms", batch + (4 * segment,))
+        steps = sim._executor.trace._entries
+        draws = [args for name, _, args, _ in steps if name == "uniform_into"]
+        assert len(draws) == 1 and draws[0][1] is buf
+        # less_into(probs, ratio, flips): one per sub-lattice, in the draw
+        # order s00, s11, s01, s10, each at its segment's offset.
+        operands = [args[0] for name, _, args, _ in steps if name == "less_into"]
+        assert len(operands) == 4
+        start = buf.__array_interface__["data"][0]
+        for k, probs in enumerate(operands):
+            assert probs.base is not None and np.shares_memory(probs, buf)
+            offset = probs.__array_interface__["data"][0] - start
+            assert offset == k * segment * buf.itemsize
 
     @pytest.mark.parametrize("updater", ["compact", "conv"])
     @pytest.mark.parametrize("dtype", DTYPES)

@@ -151,6 +151,28 @@ class TestCompactLattice:
         dup.s00[...] = -dup.s00
         assert not np.array_equal(dup.s00, lat.s00)
 
+    @pytest.mark.parametrize("block", [None, (2, 3), (4, 6)])
+    def test_batched_to_plain_matches_per_chain(self, block):
+        plains = np.stack([make_lattice((8, 12), seed=s) for s in range(3)])
+        lat = CompactLattice.stack(
+            [CompactLattice.from_plain(p, block) for p in plains]
+        )
+        out = lat.to_plain()
+        assert np.array_equal(out, plains)
+        assert np.array_equal(
+            out, np.stack([lat.chain(b).to_plain() for b in range(3)])
+        )
+        assert not any(
+            np.shares_memory(out, t) for t in (lat.s00, lat.s01, lat.s10, lat.s11)
+        )
+
+    def test_grid_to_plain_is_a_copy(self):
+        # A 1 x 1 grid reshapes to a view; the plain lattice must not alias
+        # the state that in-place sweeps mutate.
+        grid = plain_to_grid(make_lattice((6, 6)), (6, 6))
+        for g in (grid, grid[None]):
+            assert not np.shares_memory(grid_to_plain(g), grid)
+
     def test_shape_validation(self):
         good = np.zeros((1, 1, 2, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="rank 4"):

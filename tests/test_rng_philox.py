@@ -192,6 +192,32 @@ class TestBitsInto:
             out[0], philox_uniform_bits(100, n_words, (3, 5))
         )
 
+    @pytest.mark.parametrize("pass_counters", [1, 3, 7, 16384])
+    def test_passes_do_not_change_words(self, monkeypatch, pass_counters):
+        from repro.rng import philox
+
+        # Long draws run in passes of at most PHILOX_PASS_COUNTERS counters
+        # summed over streams; every split must give the one-shot words,
+        # including the partial last counter and a counter wrap mid-draw.
+        monkeypatch.setattr(philox, "PHILOX_PASS_COUNTERS", pass_counters)
+        keys = np.array([[7, 0], [7, 1], [9, 2]], dtype=np.uint32)
+        starts = [0, 12, (1 << 128) - 4]
+        for n_streams in (1, 3):
+            for n_words in (1, 7, 40, 41):
+                expected = philox.philox_uniform_bits_batched(
+                    starts[:n_streams], n_words, keys[:n_streams]
+                )
+                scratch = philox.make_philox_scratch(n_streams, n_words)
+                assert scratch["pass_cols"] * n_streams <= max(
+                    pass_counters, n_streams
+                )
+                out = np.empty((n_streams, n_words), dtype=np.uint32)
+                for _ in range(2):  # scratch reuse across calls
+                    philox.philox_bits_into(
+                        starts[:n_streams], keys[:n_streams], out, scratch
+                    )
+                    np.testing.assert_array_equal(out, expected)
+
     def test_validates_shapes(self):
         from repro.rng.philox import make_philox_scratch, philox_bits_into
 

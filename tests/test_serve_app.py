@@ -15,6 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro
 from repro.api import SimulationConfig
 from repro.sched import Client, Scheduler
 from repro.serve import (
@@ -95,6 +96,35 @@ class TestLifecycle:
                 np.ascontiguousarray(local.lattice.astype(np.float32)).tobytes()
             ).hexdigest()
         )
+
+    def test_packed_job_matches_simulate(self):
+        # Packed ensembles take no block: the scheduler's batch plan and
+        # cache key must resolve one exactly as the drivers do.
+        fields = {"shape": [128, 128], "temperature": 2.2, "seed": 6,
+                  "dtype": "packed"}
+        config = SimulationConfig(**{**fields, "shape": (128, 128)})
+        sim = repro.simulate(config)
+        sim.run(12)
+        expected = hashlib.sha256(
+            np.ascontiguousarray(sim.lattice, dtype=np.float32).tobytes()
+        ).hexdigest()
+
+        local = repro.submit(config, 12)
+        assert hashlib.sha256(
+            np.ascontiguousarray(local.lattice, dtype=np.float32).tobytes()
+        ).hexdigest() == expected
+
+        async def scenario(app):
+            status, _, body = await post_job(app, config=fields, sweeps=12)
+            assert status == 202
+            _, _, res = await http_request(
+                "127.0.0.1", app.port, "GET", f"/v1/jobs/{body['id']}/result"
+            )
+            return res
+
+        res = with_app(scenario)
+        assert res["state"] == "done"
+        assert res["result"]["lattice_sha256"] == expected
 
     def test_duplicate_submission_dedups(self):
         async def scenario(app):

@@ -22,12 +22,12 @@ from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation
 from repro.core.traced import (
     ALLOCATING_OPS,
-    HAVE_NUMBA,
     REPLAYABLE_OPS,
     SweepTrace,
     TracedExecutor,
     record_traced_metrics,
 )
+from repro.sched.cache import _resolved_block_shape
 from repro.telemetry.report import RunTelemetry
 from repro.tpu.dtypes import BFLOAT16
 
@@ -156,7 +156,7 @@ class TestInvalidation:
         trace.mark_unsound("array")
         assert not trace.sound
         with pytest.raises(RuntimeError, match="unsound"):
-            trace.compile(sim.backend)
+            trace.compile()
         # An executor over a non-fused updater records nothing and
         # permanently falls back rather than replaying garbage.
         eager = IsingSimulation(16, 2.2, seed=11, fused=False)
@@ -288,11 +288,6 @@ class TestTelemetryAndApi:
         assert sim.traced is False
         assert simulate(cfg.evolve(traced="auto")).traced is True
 
-    def test_numba_absent_is_graceful(self):
-        # The container has no numba; the pure-Python replay loop is the
-        # authoritative path and everything above already exercised it.
-        assert HAVE_NUMBA is False
-
 
 class TestDefaultBlockShape:
     @pytest.mark.parametrize(
@@ -306,6 +301,17 @@ class TestDefaultBlockShape:
     )
     def test_matches_driver_defaults(self, updater, expected):
         assert default_block_shape(updater, (16, 20)) == expected
+
+    def test_packed_takes_no_block(self):
+        # Packed spins are words per compact quarter: no block for any
+        # updater, in the drivers and in the scheduler's cache key alike.
+        for updater in ("compact", "checkerboard"):
+            assert default_block_shape(updater, (128, 128), "packed") is None
+        sim = simulate(SimulationConfig(shape=128, dtype="packed"))
+        assert sim.block_shape is None
+        assert _resolved_block_shape(
+            SimulationConfig(shape=128, dtype="packed"), (128, 128)
+        ) is None
 
     @pytest.mark.parametrize("updater", ["compact", "conv", "checkerboard"])
     def test_driver_consumes_helper(self, updater):
