@@ -53,11 +53,12 @@ from .backend.base import Backend
 from .backend.numpy_backend import NumpyBackend
 from .core.config import (
     CHECKPOINT_SCHEMA,
+    Engine,
     backend_from_checkpoint,
+    backend_kind,
     checkpoint_kind,
-    resolve_fused,
+    resolve_engine,
     resolve_overlap,
-    resolve_traced,
 )
 from .core.couplings import COUPLING_KINDS, BondCouplings
 from .core.distributed import DistributedIsing
@@ -82,8 +83,6 @@ __all__ = [
     "Client",
     "deprecated_kwargs",
 ]
-
-_UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
 
 # (qualified function name, old kwarg) pairs that already warned once.
 _DEPRECATION_WARNED: set[tuple[str, str]] = set()
@@ -383,52 +382,8 @@ class SimulationConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.updater not in _UPDATERS:
-            raise ValueError(
-                f"updater must be one of {_UPDATERS}, got {self.updater!r}"
-            )
-        resolve_fused(self.fused)  # raises on junk
-        resolve_traced(self.traced)  # raises on junk
         resolve_overlap(self.overlap)  # raises on junk
-        dtype = resolve_dtype(self.dtype)  # raises on junk
-        if dtype.name == "packed":
-            if self.updater not in ("compact", "checkerboard"):
-                raise ValueError(
-                    f"dtype='packed' supports updater='compact' or "
-                    f"'checkerboard' (both run the packed multi-spin "
-                    f"engine); {self.updater!r} has no packed kernels — "
-                    f"use dtype='float32' for it"
-                )
-            if self.field:
-                raise ValueError(
-                    "dtype='packed' requires field=0.0: the three-case "
-                    f"Metropolis collapse assumes h = 0 (got {self.field!r}); "
-                    "use dtype='float32' for runs with a field"
-                )
-            if self.block_shape is not None:
-                raise ValueError(
-                    "dtype='packed' does not take a block_shape: spins are "
-                    "stored as 64-bit words per compact quarter, not "
-                    "blocked grids"
-                )
-            if self.fused is False:
-                raise ValueError(
-                    "dtype='packed' has no elementwise path: the packed "
-                    "engine is workspace-backed only; drop fused=False or "
-                    "use dtype='float32'"
-                )
-        if self.model is not None and self.model.couplings != "ferro":
-            if self.updater != "masked_conv":
-                raise ValueError(
-                    f"disordered couplings ({self.model.couplings!r}) require "
-                    f"updater='masked_conv' (the compact/blocked updaters "
-                    f"have no per-bond kernels yet); got {self.updater!r}"
-                )
-            if dtype.name == "packed":
-                raise ValueError(
-                    "dtype='packed' supports couplings='ferro' only: the "
-                    "three-case Metropolis collapse assumes uniform J = 1"
-                )
+        resolve_dtype(self.dtype)  # raises on junk
         if isinstance(self.backend, str) and self.backend not in ("numpy", "tpu"):
             raise ValueError(
                 f"backend must be 'numpy', 'tpu', a Backend or None, "
@@ -453,6 +408,19 @@ class SimulationConfig:
                 "checkpoint_interval must be >= 1 or None, "
                 f"got {self.checkpoint_interval}"
             )
+        # Engine-invalid configs fail here, with the drivers' own message.
+        if isinstance(self.backend, Backend):
+            dtype, kind = self.backend.dtype.name, backend_kind(self.backend)
+        else:
+            dtype = resolve_dtype(self.dtype).name
+            kind = "tpu" if self.backend == "tpu" or self.grid is not None else "numpy"
+        model = self.resolved_model
+        engine = resolve_engine(
+            self.updater, dtype, kind, self.shape,
+            field=model.field, block_shape=self.block_shape,
+            fused=self.fused, traced=self.traced, couplings=model.couplings,
+        )
+        object.__setattr__(self, "_engine", engine)
 
     @property
     def resolved_temperature(self) -> float:
@@ -462,6 +430,18 @@ class SimulationConfig:
         if self.beta is not None:
             return 1.0 / float(self.beta)
         return 2.0
+
+    @property
+    def resolved_engine(self) -> Engine:
+        """The sweep engine this config runs: packed, fused, traced, block.
+
+        Resolved at construction by the drivers' own
+        :func:`~repro.core.config.resolve_engine` call, so the scheduler's
+        batch and cache keys see the engine the driver builds.  A
+        ``grid`` config resolves on TPU backends (:func:`distributed`
+        resolves blocks per core); :func:`tempering` keeps traced off.
+        """
+        return self._engine
 
     @property
     def resolved_model(self) -> ModelSpec:
@@ -709,13 +689,6 @@ def distributed(config: SimulationConfig) -> DistributedIsing:
         raise ValueError(
             "distributed() always runs on simulated-TPU per-core backends; "
             f"config.backend must be None or 'tpu', got {config.backend!r}"
-        )
-    if resolve_dtype(config.dtype).name == "packed":
-        raise ValueError(
-            "distributed() does not support dtype='packed': the halo "
-            "exchange moves float spin planes, not 64-spin words; run "
-            "packed chains through simulate() / ensemble(), or use "
-            "dtype='float32'/'bfloat16' for pod runs"
         )
     return DistributedIsing(
         config.shape,

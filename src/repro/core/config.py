@@ -7,6 +7,12 @@ layering inversion (the distributed driver reaching *up* into the
 single-core driver for plumbing).  They live here now, below all three
 drivers; ``simulation.py`` re-exports the old names for compatibility.
 
+It owns the engine decision: :func:`resolve_engine` turns (updater,
+dtype, backend kind, shape, field, block_shape, fused, traced,
+couplings) into one :class:`Engine` or raises, and
+:func:`build_updater` builds the updater it names.  Every driver,
+``SimulationConfig`` validation and the scheduler's keys go through it.
+
 This module also owns the versioned **checkpoint/v2** envelope shared by
 every driver's ``state_dict()``:
 
@@ -21,19 +27,26 @@ the envelope existed) are still readable everywhere — they decode with a
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..backend.base import Backend
 from ..backend.numpy_backend import NumpyBackend
+from .checkerboard import CheckerboardUpdater
+from .compact import CompactUpdater
+from .conv import ConvUpdater, MaskedConvUpdater
+from .packed import PackedUpdater
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_KINDS",
+    "Engine",
+    "resolve_engine",
+    "build_updater",
     "resolve_fused",
     "resolve_traced",
     "resolve_overlap",
-    "default_block_shape",
     "backend_kind",
     "backend_from_checkpoint",
     "check_checkpoint_dtype",
@@ -70,7 +83,7 @@ def resolve_traced(traced: "bool | str") -> "bool | str":
     traced executor replays a recorded fused sweep, so it follows the
     fused flag wherever that resolves True and stays off elsewhere.
     An explicit ``traced=True`` with the fused engine off is rejected by
-    the drivers — there is no elementwise trace to record.
+    :func:`resolve_engine` — there is no elementwise trace to record.
     """
     if traced == "auto":
         return "auto"
@@ -96,28 +109,146 @@ def resolve_overlap(overlap: "bool | str") -> "bool | str":
     raise ValueError(f"overlap must be 'auto', True or False, got {overlap!r}")
 
 
-def default_block_shape(
-    updater: str, shape: "tuple[int, int]", dtype: str = "float32"
-) -> "tuple[int, int] | None":
-    """The driver's default block decomposition for ``updater`` on ``shape``.
+#: Updater names the single-core and ensemble drivers accept: "compact"
+#: (Algorithm 2), "conv" (appendix conv variant on the compact layout),
+#: "checkerboard" (Algorithm 1) and "masked_conv" (full-lattice conv + mask).
+_UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
 
-    This is the single source of truth consumed by the drivers *and* by
-    the scheduler's cache key and batch plan (:mod:`repro.sched`), so an
-    unset ``block_shape`` and its spelled-out default can never drift
-    apart:
 
-    * ``dtype="packed"`` runs unblocked (and rejects an explicit block):
-      its spins are 64-bit words per compact quarter;
-    * ``masked_conv`` runs unblocked (and rejects an explicit block);
-    * ``checkerboard`` defaults to one block covering the whole lattice;
-    * ``compact`` / ``conv`` default to a 2x2 grid of half-lattice blocks.
+@dataclass(frozen=True)
+class Engine:
+    """The sweep engine one configuration runs (see :func:`resolve_engine`)."""
+
+    packed: bool
+    fused: bool
+    traced: bool
+    block_shape: "tuple[int, int] | None"
+
+
+def resolve_engine(
+    updater: str,
+    dtype: str,
+    backend: str,
+    shape: "int | tuple[int, int]",
+    field: float = 0.0,
+    block_shape: "tuple[int, int] | None" = None,
+    fused: "bool | str" = "auto",
+    traced: "bool | str" = "auto",
+    couplings: str = "ferro",
+) -> Engine:
+    """Decide which sweep engine a configuration runs, or reject it.
+
+    The one place that encodes the engine rules (``docs/engines.md``,
+    "Engine resolution"); the drivers, ``SimulationConfig`` validation
+    and the scheduler's batch and cache keys all call it.  ``dtype`` is
+    a dtype name, ``backend`` a :func:`backend_kind`, ``couplings`` a
+    coupling kind.  ``fused="auto"`` is on for numpy and off for tpu
+    (the calibrated cost tables' op sequence); packed is always fused;
+    ``traced="auto"`` follows the resolved ``fused``.  An unset
+    ``block_shape`` resolves to the default decomposition: one block
+    covering the lattice for checkerboard, a 2x2 grid of half-lattice
+    blocks for compact/conv, and none (unblocked) for masked_conv and
+    packed, whose spins are 64-bit words per compact quarter.
     """
-    if dtype == "packed" or updater == "masked_conv":
-        return None
-    rows, cols = (int(shape[0]), int(shape[1]))
-    if updater == "checkerboard":
-        return (rows, cols)
-    return (rows // 2, cols // 2)
+    if updater not in _UPDATERS:
+        raise ValueError(
+            f"unknown updater {updater!r}; expected one of {sorted(_UPDATERS)}"
+        )
+    packed = dtype == "packed"
+    fused = resolve_fused(fused)
+    if packed and fused is False:
+        # The packed engine exists only in workspace-backed *_into form.
+        raise ValueError(
+            "dtype='packed' has no elementwise path: the packed engine is "
+            "workspace-backed only; drop fused=False or use dtype='float32'"
+        )
+    if fused == "auto":
+        fused = packed or backend == "numpy"
+    traced = resolve_traced(traced)
+    if traced == "auto":
+        traced = fused
+    if traced and not fused:
+        raise ValueError(
+            "traced=True requires the fused sweep engine; "
+            "the elementwise path allocates per sweep and cannot be replayed"
+        )
+    if isinstance(shape, (int, np.integer)):
+        shape = (int(shape), int(shape))
+    if packed:
+        if updater not in ("compact", "checkerboard"):
+            raise ValueError(
+                "dtype='packed' supports updater='compact' or 'checkerboard' "
+                f"(both run the packed multi-spin engine); {updater!r} has no "
+                "packed kernels — use dtype='float32' for it"
+            )
+        if field:
+            raise ValueError(
+                "dtype='packed' requires field=0.0: the three-case Metropolis "
+                f"collapse assumes h = 0 (got {field!r}); use dtype='float32' "
+                "for runs with a field"
+            )
+        if block_shape is not None:
+            raise ValueError(
+                "dtype='packed' does not take a block_shape: spins are stored "
+                "as 64-bit words per compact quarter, not blocked grids"
+            )
+        if shape[1] % 128:
+            raise ValueError(
+                "dtype='packed' needs the lattice width to be a multiple of 128 "
+                "(each compact quarter packs into whole 64-bit words), "
+                f"got {shape[1]}"
+            )
+        if couplings != "ferro":
+            raise ValueError(
+                "dtype='packed' supports couplings='ferro' only: the three-case "
+                "Metropolis collapse assumes uniform J = 1; use dtype='float32' "
+                "with updater='masked_conv' for disordered bonds"
+            )
+    elif updater == "masked_conv" and block_shape is not None:
+        raise ValueError("masked_conv does not take a block_shape")
+    if couplings != "ferro" and updater != "masked_conv":
+        raise ValueError(
+            f"disordered couplings ({couplings!r}) require updater='masked_conv' "
+            "(the compact/blocked updaters have no per-bond kernels yet); "
+            f"got {updater!r}"
+        )
+    if block_shape is not None:
+        block_shape = (int(block_shape[0]), int(block_shape[1]))
+    elif not packed and updater != "masked_conv":
+        rows, cols = int(shape[0]), int(shape[1])
+        if updater != "checkerboard":
+            rows, cols = rows // 2, cols // 2
+        block_shape = (rows, cols)
+    return Engine(packed, bool(fused), bool(traced), block_shape)
+
+
+def build_updater(
+    engine: Engine, updater: str, beta, backend: Backend, field=0.0, couplings=None
+):
+    """Build the updater ``engine`` resolved to.
+
+    ``beta`` is a scalar for one chain or a ``(B,)`` vector for an
+    ensemble, broadcast here against the batched state (rank 3 for
+    masked_conv, rank 5 for the blocked grids; the packed engine
+    broadcasts its own thresholds).  ``couplings`` reaches masked_conv.
+    """
+    if engine.packed:
+        return PackedUpdater(beta, backend, field=field)
+    if np.ndim(beta) == 1:
+        rank = 3 if updater == "masked_conv" else 5
+        beta = np.reshape(beta, (-1,) + (1,) * (rank - 1))
+    if updater == "masked_conv":
+        return MaskedConvUpdater(
+            beta, backend, field=field, fused=engine.fused, couplings=couplings
+        )
+    updater_cls = {
+        "checkerboard": CheckerboardUpdater,
+        "compact": CompactUpdater,
+        "conv": ConvUpdater,
+    }[updater]
+    return updater_cls(
+        beta, backend, block_shape=engine.block_shape, field=field, fused=engine.fused
+    )
 
 
 def backend_kind(backend: Backend) -> str:

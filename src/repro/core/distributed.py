@@ -48,10 +48,10 @@ from ..rng.streams import PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
 from ..tpu.device import PodSlice
 from ..tpu.dtypes import DType, FLOAT32, resolve_dtype
-from .compact import CompactUpdater
 from .config import (
+    build_updater,
     checkpoint_envelope,
-    default_block_shape,
+    resolve_engine,
     resolve_fused,
     resolve_overlap,
     resolve_traced,
@@ -264,21 +264,17 @@ class DistributedIsing:
         self.beta = 1.0 / self.temperature
         self.field = float(field)
         self.dtype = resolve_dtype(dtype)
+        if self.dtype.name == "packed":
+            raise ValueError(
+                "distributed() does not support dtype='packed': the halo "
+                "exchange moves float spin planes, not 64-spin words; run "
+                "packed chains through simulate() / ensemble(), or use "
+                "dtype='float32'/'bfloat16' for pod runs"
+            )
         self.seed = int(seed)
         self.sweeps_done = 0
         self.fused_config = resolve_fused(fused)
-        # Per-core backends are TPU cost models: "auto" keeps the
-        # elementwise op sequence the calibrated tables were fit to.
-        self.fused = False if self.fused_config == "auto" else self.fused_config
         self.traced_config = resolve_traced(traced)
-        self.traced = (
-            self.fused if self.traced_config == "auto" else self.traced_config
-        )
-        if self.traced and not self.fused:
-            raise ValueError(
-                "traced=True requires the fused sweep engine; "
-                "the elementwise path allocates per sweep and cannot be replayed"
-            )
         self.overlap_config = resolve_overlap(overlap)
         # "auto": hide halos exactly where the slow inter-pod tier makes
         # it worth modeling; flat single-pod timelines stay historical.
@@ -378,20 +374,21 @@ class DistributedIsing:
         self._backends: list[Backend] = [
             TPUBackend(core, self.dtype) for core in self.pod.cores
         ]
+        # Per-core backends are TPU cost models, so "auto" keeps the
+        # elementwise op sequence the calibrated tables were fit to.
+        engine = resolve_engine(
+            self.updater_name, self.dtype.name, "tpu", self.local_shape,
+            field=self.field, block_shape=self._block_shape_arg,
+            fused=self.fused_config, traced=self.traced_config,
+        )
+        self.fused, self.traced = engine.fused, engine.traced
         self._updaters = [
-            CompactUpdater(
-                self.beta,
-                backend,
-                block_shape=self._block_shape_arg
-                if self._block_shape_arg is not None
-                else default_block_shape("compact", self.local_shape),
-                nn_method="conv" if self.updater_name == "conv" else "matmul",
-                field=self.field,
-                fused=self.fused,
+            build_updater(
+                engine, self.updater_name, self.beta, backend, field=self.field
             )
             for backend in self._backends
         ]
-        self.block_shape = self._updaters[0].block_shape
+        self.block_shape = engine.block_shape
         # Fresh updaters mean any recorded phase programs are stale;
         # executors are rebuilt with the topology (degrades included).
         self._executors: "list[PhaseTracedExecutor | None]" = [

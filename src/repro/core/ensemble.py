@@ -32,30 +32,23 @@ from ..observables.energy import energies_per_spin
 from ..observables.magnetization import magnetizations
 from ..rng.streams import BatchedPhiloxStream, PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
-from .checkerboard import CheckerboardUpdater
-from .compact import CompactUpdater
-from .conv import ConvUpdater, MaskedConvUpdater
 from .couplings import BondCouplings, bond_total_energy
 from .fused import record_fused_metrics
 from .lattice import cold_lattice, random_lattice, validate_spins
 from .config import (
     backend_from_checkpoint,
     backend_kind,
+    build_updater,
     check_checkpoint_dtype,
     checkpoint_envelope,
-    default_block_shape,
+    resolve_engine,
     resolve_fused,
     resolve_traced,
     unwrap_checkpoint,
 )
-from .packed import PackedState, PackedUpdater, record_packed_metrics
+from .packed import packed_checkpoint, record_packed_metrics, restore_packed
 from .traced import TracedExecutor, record_traced_metrics
-from .simulation import (
-    ChainResult,
-    IsingSimulation,
-    _UPDATERS,
-    summarize_chain,
-)
+from .simulation import ChainResult, IsingSimulation, summarize_chain
 
 __all__ = ["EnsembleSimulation"]
 
@@ -139,10 +132,6 @@ class EnsembleSimulation:
             )
         if np.any(temps <= 0):
             raise ValueError(f"temperatures must be positive, got {temps}")
-        if updater not in _UPDATERS:
-            raise ValueError(
-                f"unknown updater {updater!r}; expected one of {sorted(_UPDATERS)}"
-            )
 
         self.shape = (int(rows), int(cols))
         self.temperatures = temps
@@ -159,33 +148,23 @@ class EnsembleSimulation:
         self.seeds = [self.seed] * self.n_chains
         self.sweeps_done = 0
         self.telemetry = telemetry
-        self.packed = self.backend.dtype.name == "packed"
         self.fused_config = resolve_fused(fused)
-        if self.packed:
-            # The packed engine exists only in workspace-backed *_into
-            # form, so it is always "fused" regardless of backend kind.
-            if self.fused_config is False:
-                raise ValueError(
-                    "dtype='packed' has no elementwise path: the packed "
-                    "engine is workspace-backed only; drop fused=False or "
-                    "use dtype='float32'"
-                )
-            self.fused = True
-        else:
-            self.fused = (
-                backend_kind(self.backend) == "numpy"
-                if self.fused_config == "auto"
-                else self.fused_config
-            )
         self.traced_config = resolve_traced(traced)
-        self.traced = (
-            self.fused if self.traced_config == "auto" else self.traced_config
+        # Quenched per-bond disorder: ferro collapses to None (the clean
+        # fast path); real disorder currently runs on the plain-lattice
+        # masked_conv updater, whose weighted neighbour sum carries the
+        # bond planes (see docs/tempering.md for the support matrix).
+        if couplings is not None and couplings.kind == "ferro":
+            couplings = None
+        self._engine = engine = resolve_engine(
+            updater, self.backend.dtype.name, backend_kind(self.backend), self.shape,
+            field=self.field, block_shape=block_shape,
+            fused=self.fused_config, traced=self.traced_config,
+            couplings="ferro" if couplings is None else couplings.kind,
         )
-        if self.traced and not self.fused:
-            raise ValueError(
-                "traced=True requires the fused sweep engine; "
-                "the elementwise path allocates per sweep and cannot be replayed"
-            )
+        self.packed, self.fused = engine.packed, engine.fused
+        self.traced = engine.traced
+        self.block_shape = engine.block_shape
 
         if stream_ids is None:
             stream_ids = range(self.n_chains)
@@ -195,67 +174,13 @@ class EnsembleSimulation:
                 f"{len(self.stream_ids)} stream ids for {self.n_chains} chains"
             )
 
-        if self.packed:
-            if updater not in ("compact", "checkerboard"):
-                raise ValueError(
-                    f"dtype='packed' supports updater='compact' or "
-                    f"'checkerboard' (both run the packed multi-spin "
-                    f"engine); {updater!r} has no packed kernels — use "
-                    f"dtype='float32' for it"
-                )
-            if self.field:
-                raise ValueError(
-                    "dtype='packed' requires field=0.0: the three-case "
-                    f"Metropolis collapse assumes h = 0 (got {self.field!r}); "
-                    "use dtype='float32' for runs with a field"
-                )
-            if block_shape is not None:
-                raise ValueError(
-                    "dtype='packed' does not take a block_shape: spins are "
-                    "stored as 64-bit words per compact quarter, not "
-                    "blocked grids"
-                )
-            if cols % 128:
-                raise ValueError(
-                    f"dtype='packed' needs the lattice width to be a "
-                    f"multiple of 128 (each compact quarter packs into "
-                    f"whole 64-bit words), got {cols}"
-                )
-        elif updater == "masked_conv":
-            if block_shape is not None:
-                raise ValueError("masked_conv does not take a block_shape")
-        elif block_shape is None:
-            block_shape = default_block_shape(updater, self.shape)
-        self.block_shape = block_shape
-
-        # Quenched per-bond disorder: ferro collapses to None (the clean
-        # fast path); real disorder currently runs on the plain-lattice
-        # masked_conv updater, whose weighted neighbour sum carries the
-        # bond planes (see docs/tempering.md for the support matrix).
-        if couplings is not None and couplings.kind == "ferro":
-            couplings = None
-        if couplings is not None:
-            if self.packed:
-                raise ValueError(
-                    "dtype='packed' supports couplings='ferro' only: the "
-                    "three-case Metropolis collapse assumes uniform J = 1; "
-                    "use dtype='float32' with updater='masked_conv' for "
-                    "disordered bonds"
-                )
-            if updater != "masked_conv":
-                raise ValueError(
-                    f"disordered couplings ({couplings.kind!r}) require "
-                    f"updater='masked_conv' (the compact/blocked updaters "
-                    f"have no per-bond kernels yet); got {updater!r}"
-                )
-            if tuple(couplings.shape) != self.shape:
-                raise ValueError(
-                    f"bond coupling shape {tuple(couplings.shape)} != "
-                    f"lattice shape {self.shape}"
-                )
+        if couplings is not None and tuple(couplings.shape) != self.shape:
+            raise ValueError(
+                f"bond coupling shape {tuple(couplings.shape)} != "
+                f"lattice shape {self.shape}"
+            )
         self.couplings = couplings
         self._updater = self._build_updater()
-        self.block_shape = getattr(self._updater, "block_shape", None)
         self._executor = TracedExecutor(self._updater) if self.traced else None
 
         # Per-chain initial states, drawn from each chain's own solo
@@ -295,42 +220,14 @@ class EnsembleSimulation:
     def _build_updater(self):
         """Construct the batched updater for the current chain roster.
 
-        The per-chain beta vector broadcasts against the batched state:
-        rank-3 (batch, rows, cols) for masked_conv, rank-5 grids for the
-        blocked updaters.  Called at construction and again whenever the
-        roster changes (:meth:`add_chain` / :meth:`remove_chain`) — the
-        updaters precompute per-chain acceptance tables from the beta
-        vector, so a roster change rebuilds them.
+        Called at construction and again whenever the roster changes
+        (:meth:`add_chain` / :meth:`remove_chain`) — the updaters
+        precompute per-chain acceptance tables from the beta vector, so
+        a roster change rebuilds them.
         """
-        if self.packed:
-            # The packed updater broadcasts its own (B,) thresholds over
-            # the batched (B, rows/2, cols/128) word planes.
-            return PackedUpdater(self.betas, self.backend, field=self.field)
-        state_rank = 3 if self.updater_name == "masked_conv" else 5
-        beta_vec = self.betas.reshape((self.n_chains,) + (1,) * (state_rank - 1))
-        if self.updater_name == "masked_conv":
-            return MaskedConvUpdater(
-                beta_vec,
-                self.backend,
-                field=self.field,
-                fused=self.fused,
-                couplings=self.couplings,
-            )
-        if self.updater_name == "checkerboard":
-            return CheckerboardUpdater(
-                beta_vec,
-                self.backend,
-                block_shape=self.block_shape,
-                field=self.field,
-                fused=self.fused,
-            )
-        updater_cls = ConvUpdater if self.updater_name == "conv" else CompactUpdater
-        return updater_cls(
-            beta_vec,
-            self.backend,
-            block_shape=self.block_shape,
-            field=self.field,
-            fused=self.fused,
+        return build_updater(
+            self._engine, self.updater_name, self.betas, self.backend,
+            field=self.field, couplings=self.couplings,
         )
 
     # -- state access -------------------------------------------------------
@@ -534,10 +431,8 @@ class EnsembleSimulation:
         if retemper is None or self.packed:
             self._updater = self._build_updater()
         else:
-            state_rank = 3 if self.updater_name == "masked_conv" else 5
-            retemper(
-                self.betas.reshape((self.n_chains,) + (1,) * (state_rank - 1))
-            )
+            # Same per-chain broadcast shape the updater was built with.
+            retemper(self.betas.reshape(np.shape(self._updater.beta)))
         if self._executor is not None:
             # The recorded sweep references the old acceptance table's
             # entries; drop it and re-record on the next sweep.
@@ -739,16 +634,7 @@ class EnsembleSimulation:
             # The arrays regenerate bit-identically from the token.
             payload["couplings"] = self.couplings.state_token()
         if self.packed:
-            payload["packed"] = {
-                "word_bits": 64,
-                "bit_order": "little",
-                "rng_bits": self._updater.rng_bits,
-                "quarter_shape": self._state.quarter_shape,
-                "words": {
-                    name: getattr(self._state, name).copy()
-                    for name in ("w00", "w01", "w10", "w11")
-                },
-            }
+            payload["packed"] = packed_checkpoint(self._updater, self._state)
         return checkpoint_envelope("ensemble", payload)
 
     @classmethod
@@ -766,7 +652,6 @@ class EnsembleSimulation:
                 state.get("backend", "numpy"), state["dtype"]
             )
         check_checkpoint_dtype(state["dtype"], backend)
-        block_shape = state.get("block_shape")
         coup = state.get("couplings")
         couplings = (
             BondCouplings.generate(
@@ -783,54 +668,17 @@ class EnsembleSimulation:
             seed=state["seed"],
             stream_ids=state["stream"]["stream_ids"],
             initial=np.asarray(state["lattices"], dtype=np.float32),
-            block_shape=tuple(block_shape) if block_shape is not None else None,
+            block_shape=state.get("block_shape"),
             field=state["field"],
             fused=state.get("fused", "auto"),
             traced=state.get("traced", "auto"),
             couplings=couplings,
         )
         if ensemble.packed:
-            ensemble._restore_packed(state.get("packed"))
+            ensemble._updater, ensemble._state = restore_packed(
+                state.get("packed"), ensemble._updater, ensemble._executor
+            )
         ensemble.stream = BatchedPhiloxStream.from_state(state["stream"])
         ensemble.seeds = list(ensemble.stream.seeds)
         ensemble.sweeps_done = int(state["sweeps_done"])
         return ensemble
-
-    def _restore_packed(self, packed: dict | None) -> None:
-        """Rebuild the batched packed word planes from a checkpoint payload."""
-        if packed is None:
-            raise ValueError(
-                "checkpoint has no packed payload: it was written by an "
-                "unpacked ensemble and cannot resume as dtype='packed' (the "
-                "packed stream mode consumes randomness on a different "
-                "counter schedule); resume on the checkpoint's own dtype, "
-                "or start a fresh packed run from its lattices"
-            )
-        if packed.get("word_bits", 64) != 64 or packed.get("bit_order", "little") != "little":
-            raise ValueError(
-                f"unsupported packed word layout {packed.get('word_bits')!r}-bit "
-                f"/ {packed.get('bit_order')!r}; this build packs 64-spin "
-                "little-endian words"
-            )
-        rng_bits = int(packed.get("rng_bits", 16))
-        if rng_bits != self._updater.rng_bits:
-            self._updater = PackedUpdater(
-                self.betas, self.backend, rng_bits=rng_bits
-            )
-            if self._executor is not None:
-                self._executor.rebind(self._updater)
-        words = {
-            # astype normalises foreign-endian checkpoint words to the
-            # native representation; the *values* are host-independent.
-            name: np.ascontiguousarray(
-                np.asarray(packed["words"][name]).astype(np.uint64, copy=False)
-            )
-            for name in ("w00", "w01", "w10", "w11")
-        }
-        self._state = PackedState(
-            words["w00"],
-            words["w01"],
-            words["w10"],
-            words["w11"],
-            tuple(packed["quarter_shape"]),
-        )

@@ -45,7 +45,13 @@ from ..tpu.dtypes import PACKED
 from .fused import SweepWorkspace
 from .lattice import plain_to_quarters, quarters_to_plain
 
-__all__ = ["PackedState", "PackedUpdater", "record_packed_metrics"]
+__all__ = [
+    "PackedState",
+    "PackedUpdater",
+    "packed_checkpoint",
+    "restore_packed",
+    "record_packed_metrics",
+]
 
 _WORD = 64
 
@@ -409,6 +415,63 @@ class PackedUpdater:
     ) -> np.ndarray:
         """Pack, sweep once, unpack — convenience for tests."""
         return self.to_plain(self.sweep(self.to_state(plain), stream))
+
+
+_PLANES = ("w00", "w01", "w10", "w11")
+
+
+def packed_checkpoint(updater: PackedUpdater, state: PackedState) -> dict:
+    """The ``packed`` checkpoint payload of a solo chain or an ensemble.
+
+    The four quarter word planes plus the bit-order contract:
+    little-endian 64-bit words and the stream mode's ``rng_bits``.
+    """
+    return {
+        "word_bits": _WORD,
+        "bit_order": "little",
+        "rng_bits": updater.rng_bits,
+        "quarter_shape": state.quarter_shape,
+        "words": {name: getattr(state, name).copy() for name in _PLANES},
+    }
+
+
+def restore_packed(
+    packed: "dict | None", updater: PackedUpdater, executor
+) -> "tuple[PackedUpdater, PackedState]":
+    """Rebuild the updater and word planes a :func:`packed_checkpoint` stored.
+
+    Returns ``updater`` itself when the checkpoint's ``rng_bits`` match
+    it, else a new updater at the same beta(s) and backend (rebinding
+    the driver's traced ``executor`` to it, unless that is None), so
+    resume is bit-identical at the word level.
+    """
+    if packed is None:
+        raise ValueError(
+            "checkpoint has no packed payload: it was written by an "
+            "unpacked chain and cannot resume as dtype='packed' (the "
+            "packed stream mode consumes randomness on a different "
+            "counter schedule); resume on the checkpoint's own dtype, "
+            "or start a fresh packed run from its lattice"
+        )
+    if packed.get("word_bits", 64) != 64 or packed.get("bit_order", "little") != "little":
+        raise ValueError(
+            f"unsupported packed word layout {packed.get('word_bits')!r}-bit "
+            f"/ {packed.get('bit_order')!r}; this build packs 64-spin "
+            "little-endian words"
+        )
+    rng_bits = int(packed.get("rng_bits", 16))
+    if rng_bits != updater.rng_bits:
+        updater = PackedUpdater(updater.beta, updater.backend, rng_bits=rng_bits)
+        if executor is not None:
+            executor.rebind(updater)
+    words = [
+        # astype normalises foreign-endian checkpoint words to the
+        # native representation (the *values* are host-independent) and
+        # copies, so the in-place sweeps never write into the checkpoint.
+        np.ascontiguousarray(np.asarray(packed["words"][name]).astype(np.uint64))
+        for name in _PLANES
+    ]
+    return updater, PackedState(*words, tuple(packed["quarter_shape"]))
 
 
 def record_packed_metrics(registry, *updaters) -> None:

@@ -30,21 +30,19 @@ from ..observables.binder import binder_cumulant
 from ..observables.energy import energy_per_spin
 from ..observables.magnetization import magnetization
 from ..observables.stats import blocking_error, binder_jackknife
-from .checkerboard import CheckerboardUpdater
-from .compact import CompactUpdater
 from .config import (
     backend_from_checkpoint,
     backend_kind,
+    build_updater,
     check_checkpoint_dtype,
     checkpoint_envelope,
-    default_block_shape,
+    resolve_engine,
     resolve_fused,
     resolve_traced,
     unwrap_checkpoint,
 )
-from .conv import ConvUpdater, MaskedConvUpdater
 from .fused import record_fused_metrics
-from .packed import PackedState, PackedUpdater, record_packed_metrics
+from .packed import packed_checkpoint, record_packed_metrics, restore_packed
 from .traced import TracedExecutor, record_traced_metrics
 from .lattice import cold_lattice, random_lattice, validate_spins
 
@@ -54,16 +52,6 @@ __all__ = [
     "summarize_chain",
     "run_temperature_scan",
 ]
-
-#: Updater names accepted by IsingSimulation: "compact" (Algorithm 2),
-#: "conv" (appendix conv variant on the compact layout), "checkerboard"
-#: (Algorithm 1) and "masked_conv" (naive full-lattice conv + mask).
-_UPDATERS = ("compact", "conv", "checkerboard", "masked_conv")
-
-# Compatibility aliases: these helpers moved to repro.core.config (the
-# distributed and ensemble drivers import them from there now).
-_backend_kind = backend_kind
-_backend_from_checkpoint = backend_from_checkpoint
 
 
 @dataclass
@@ -186,114 +174,32 @@ class IsingSimulation:
             raise ValueError(f"lattice sides must be even, got {shape}")
         if temperature <= 0:
             raise ValueError(f"temperature must be positive, got {temperature}")
-        if updater not in _UPDATERS:
-            raise ValueError(
-                f"unknown updater {updater!r}; expected one of {sorted(_UPDATERS)}"
-            )
 
         self.shape = (rows, cols)
         self.temperature = float(temperature)
         self.beta = 1.0 / self.temperature
         self.field = float(field)
         self.backend = backend if backend is not None else NumpyBackend()
-        self.packed = self.backend.dtype.name == "packed"
         self.stream = PhiloxStream(seed, stream_id)
         self.updater_name = updater
         self.sweeps_done = 0
         self.telemetry = telemetry
         self.fused_config = resolve_fused(fused)
-        if self.packed:
-            # The packed engine exists only in workspace-backed *_into
-            # form, so it is always "fused" regardless of backend kind.
-            if self.fused_config is False:
-                raise ValueError(
-                    "dtype='packed' has no elementwise path: the packed "
-                    "engine is workspace-backed only; drop fused=False or "
-                    "use dtype='float32'"
-                )
-            self.fused = True
-        else:
-            self.fused = (
-                _backend_kind(self.backend) == "numpy"
-                if self.fused_config == "auto"
-                else self.fused_config
-            )
         self.traced_config = resolve_traced(traced)
-        self.traced = (
-            self.fused if self.traced_config == "auto" else self.traced_config
+        engine = resolve_engine(
+            updater, self.backend.dtype.name, backend_kind(self.backend), self.shape,
+            field=self.field, block_shape=block_shape,
+            fused=self.fused_config, traced=self.traced_config,
         )
-        if self.traced and not self.fused:
-            raise ValueError(
-                "traced=True requires the fused sweep engine; "
-                "the elementwise path allocates per sweep and cannot be replayed"
-            )
-
-        if self.packed:
-            if updater not in ("compact", "checkerboard"):
-                raise ValueError(
-                    f"dtype='packed' supports updater='compact' or "
-                    f"'checkerboard' (both run the packed multi-spin "
-                    f"engine); {updater!r} has no packed kernels — use "
-                    f"dtype='float32' for it"
-                )
-            if self.field:
-                raise ValueError(
-                    "dtype='packed' requires field=0.0: the three-case "
-                    f"Metropolis collapse assumes h = 0 (got {self.field!r}); "
-                    "use dtype='float32' for runs with a field"
-                )
-            if block_shape is not None:
-                raise ValueError(
-                    "dtype='packed' does not take a block_shape: spins are "
-                    "stored as 64-bit words per compact quarter, not "
-                    "blocked grids"
-                )
-            if cols % 128:
-                raise ValueError(
-                    f"dtype='packed' needs the lattice width to be a "
-                    f"multiple of 128 (each compact quarter packs into "
-                    f"whole 64-bit words), got {cols}"
-                )
-            self._updater = PackedUpdater(self.beta, self.backend, field=self.field)
-        elif updater == "masked_conv":
-            if block_shape is not None:
-                raise ValueError("masked_conv does not take a block_shape")
-            self._updater = MaskedConvUpdater(
-                self.beta, self.backend, field=self.field, fused=self.fused
-            )
-        elif updater == "checkerboard":
-            if block_shape is None:
-                block_shape = default_block_shape(updater, self.shape)
-            self._updater = CheckerboardUpdater(
-                self.beta,
-                self.backend,
-                block_shape=block_shape,
-                field=self.field,
-                fused=self.fused,
-            )
-        else:
-            if block_shape is None:
-                block_shape = default_block_shape(updater, self.shape)
-            if updater == "conv":
-                self._updater = ConvUpdater(
-                    self.beta,
-                    self.backend,
-                    block_shape=block_shape,
-                    field=self.field,
-                    fused=self.fused,
-                )
-            else:
-                self._updater = CompactUpdater(
-                    self.beta,
-                    self.backend,
-                    block_shape=block_shape,
-                    field=self.field,
-                    fused=self.fused,
-                )
-        #: Resolved grid block decomposition (None for masked_conv, which
-        #: keeps the plain layout).  Checkpoints carry it so a restored
-        #: chain reproduces the same blocked tensors.
-        self.block_shape = getattr(self._updater, "block_shape", None)
+        self.packed, self.fused = engine.packed, engine.fused
+        self.traced = engine.traced
+        #: Resolved grid block decomposition (None for masked_conv and
+        #: packed, which keep unblocked layouts).  Checkpoints carry it so
+        #: a restored chain reproduces the same blocked tensors.
+        self.block_shape = engine.block_shape
+        self._updater = build_updater(
+            engine, updater, self.beta, self.backend, field=self.field
+        )
         self._executor = TracedExecutor(self._updater) if self.traced else None
 
         if isinstance(initial, str):
@@ -411,16 +317,7 @@ class IsingSimulation:
             "sweeps_done": self.sweeps_done,
         }
         if self.packed:
-            payload["packed"] = {
-                "word_bits": 64,
-                "bit_order": "little",
-                "rng_bits": self._updater.rng_bits,
-                "quarter_shape": self._state.quarter_shape,
-                "words": {
-                    name: getattr(self._state, name).copy()
-                    for name in ("w00", "w01", "w10", "w11")
-                },
-            }
+            payload["packed"] = packed_checkpoint(self._updater, self._state)
         return checkpoint_envelope("single", payload)
 
     @classmethod
@@ -446,59 +343,24 @@ class IsingSimulation:
                 state.get("backend", "numpy"), state["dtype"]
             )
         check_checkpoint_dtype(state["dtype"], backend)
-        block_shape = state.get("block_shape")
         sim = cls(
             tuple(state["shape"]),
             state["temperature"],
             updater=state["updater"],
             backend=backend,
             field=state["field"],
-            block_shape=tuple(block_shape) if block_shape is not None else None,
+            block_shape=state.get("block_shape"),
             fused=state.get("fused", "auto"),
             traced=state.get("traced", "auto"),
             initial=np.asarray(state["lattice"], dtype=np.float32),
         )
         if sim.packed:
-            sim._restore_packed(state.get("packed"))
+            sim._updater, sim._state = restore_packed(
+                state.get("packed"), sim._updater, sim._executor
+            )
         sim.stream = PhiloxStream.from_state(state["stream"])
         sim.sweeps_done = int(state["sweeps_done"])
         return sim
-
-    def _restore_packed(self, packed: dict | None) -> None:
-        """Rebuild the packed word planes from a checkpoint's packed payload."""
-        if packed is None:
-            raise ValueError(
-                "checkpoint has no packed payload: it was written by an "
-                "unpacked chain and cannot resume as dtype='packed' (the "
-                "packed stream mode consumes randomness on a different "
-                "counter schedule); resume on the checkpoint's own dtype, "
-                "or start a fresh packed run from its lattice"
-            )
-        if packed.get("word_bits", 64) != 64 or packed.get("bit_order", "little") != "little":
-            raise ValueError(
-                f"unsupported packed word layout {packed.get('word_bits')!r}-bit "
-                f"/ {packed.get('bit_order')!r}; this build packs 64-spin "
-                "little-endian words"
-            )
-        rng_bits = int(packed.get("rng_bits", 16))
-        if rng_bits != self._updater.rng_bits:
-            self._updater = PackedUpdater(self.beta, self.backend, rng_bits=rng_bits)
-            self._executor = TracedExecutor(self._updater) if self.traced else None
-        words = {
-            # astype normalises foreign-endian checkpoint words to the
-            # native representation; the *values* are host-independent.
-            name: np.ascontiguousarray(
-                np.asarray(packed["words"][name]).astype(np.uint64, copy=False)
-            )
-            for name in ("w00", "w01", "w10", "w11")
-        }
-        self._state = PackedState(
-            words["w00"],
-            words["w01"],
-            words["w10"],
-            words["w11"],
-            tuple(packed["quarter_shape"]),
-        )
 
     # -- telemetry ---------------------------------------------------------
 
@@ -526,7 +388,7 @@ class IsingSimulation:
                 "temperature": self.temperature,
                 "field": self.field,
                 "updater": self.updater_name,
-                "backend": _backend_kind(self.backend),
+                "backend": backend_kind(self.backend),
                 "dtype": self.backend.dtype.name,
                 "block_shape": self.block_shape,
                 "fused": self.fused,

@@ -39,7 +39,7 @@ import numpy as np
 from ..backend.base import Backend
 from ..rng.streams import PhiloxStream
 from ..telemetry.report import RunReport, RunTelemetry
-from .config import checkpoint_envelope, resolve_traced, unwrap_checkpoint
+from .config import checkpoint_envelope, unwrap_checkpoint
 from .couplings import BondCouplings
 from .ensemble import EnsembleSimulation
 
@@ -159,7 +159,6 @@ class TemperingEnsemble:
         # traced="auto" resolves to off: accepted swap rounds invalidate
         # the recorded sweep, and re-recording every round costs more
         # than it saves at typical swap intervals.
-        traced_cfg = resolve_traced(traced)
         self.ensemble = EnsembleSimulation(
             shape,
             self._chain_temperatures(),
@@ -170,7 +169,7 @@ class TemperingEnsemble:
             block_shape=block_shape,
             field=field,
             fused=fused,
-            traced=False if traced_cfg == "auto" else traced_cfg,
+            traced=False if traced == "auto" else traced,
             telemetry=telemetry,
             couplings=bonds,
         )

@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..backend.tpu_backend import TPUBackend
-from ..core.compact import CompactUpdater
-from ..core.conv import MaskedConvUpdater
+from ..core.config import build_updater, resolve_engine
 from ..core.lattice import random_lattice
 from ..mesh.links import LinkModel, TwoTierLinkModel, interior_fraction
 from ..mesh.topology import HierarchicalTorus, Torus2D
@@ -124,34 +123,24 @@ def _quarter_grid(per_core_shape: tuple[int, int]) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def _recorded_sweep(updater: str, dtype_name: str) -> tuple[tuple, int]:
     """One real proxy-sized sweep's op log and its block (or site) count."""
-    dtype = resolve_dtype(dtype_name)
-    core = TensorCore(core_id=0, op_log=[])
-    backend = TPUBackend(core, dtype)
-    stream = PhiloxStream(1234, 0)
-
     if updater in ("compact", "conv"):
         m, n = _PROXY_GRID
-        shape = (2 * m * BLOCK, 2 * n * BLOCK)
-        plain = random_lattice(shape, stream)
-        driver = CompactUpdater(
-            0.44,
-            backend,
-            block_shape=(BLOCK, BLOCK),
-            nn_method="conv" if updater == "conv" else "matmul",
-        )
-        state = driver.to_state(plain)
-        driver.sweep(state, stream)
+        shape, block_shape = (2 * m * BLOCK, 2 * n * BLOCK), (BLOCK, BLOCK)
         units = m * n
     elif updater == "masked_conv":
-        shape = _PROXY_CONV_SHAPE
-        plain = random_lattice(shape, stream)
-        driver = MaskedConvUpdater(0.44, backend)
-        driver.sweep(backend.array(plain), stream)
+        shape, block_shape = _PROXY_CONV_SHAPE, None
         units = shape[0] * shape[1]
     else:
         raise ValueError(
             f"unknown updater {updater!r}; expected compact/conv/masked_conv"
         )
+    core = TensorCore(core_id=0, op_log=[])
+    backend = TPUBackend(core, resolve_dtype(dtype_name))
+    stream = PhiloxStream(1234, 0)
+    # The cost-model backend resolves to the elementwise engine.
+    engine = resolve_engine(updater, dtype_name, "tpu", shape, block_shape=block_shape)
+    driver = build_updater(engine, updater, 0.44, backend)
+    driver.sweep(driver.to_state(random_lattice(shape, stream)), stream)
     return tuple(core.op_log), units
 
 

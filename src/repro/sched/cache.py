@@ -9,8 +9,10 @@ normalises every trajectory-determining field of a frozen
   floats are hashed by their exact bit pattern (``float.hex``), never by
   a printed decimal;
 * ``shape=64`` and ``shape=(64, 64)`` normalise to one tuple, and an
-  unset ``block_shape`` resolves to the updater's default decomposition
-  (so spelling the default explicitly still hits);
+  unset ``block_shape`` resolves, through
+  :func:`~repro.core.config.resolve_engine` (the drivers' own call), to
+  the updater's default decomposition (so spelling the default
+  explicitly still hits);
 * an explicit initial lattice hashes by content (shape + bytes);
 * the nested specs serialise deterministically (fields in sorted-key
   order, floats by bit pattern): ``field=0.1`` and
@@ -39,7 +41,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..core.config import default_block_shape
 from ..tpu.dtypes import resolve_dtype
 from .job import JobResult
 
@@ -57,21 +58,6 @@ def _normalized_shape(shape) -> tuple[int, int]:
         return (int(shape), int(shape))
     rows, cols = shape
     return (int(rows), int(cols))
-
-
-def _resolved_block_shape(config, shape: tuple[int, int]):
-    """The effective block decomposition, via the drivers' shared default.
-
-    Delegating to :func:`~repro.core.config.default_block_shape` (rather
-    than re-spelling the per-updater defaults here) guarantees an unset
-    ``block_shape`` and its explicit default hash to the same key.
-    """
-    if config.block_shape is not None:
-        rows, cols = config.block_shape
-        return (int(rows), int(cols))
-    return default_block_shape(
-        config.updater, shape, resolve_dtype(config.dtype).name
-    )
 
 
 def _initial_token(initial) -> str:
@@ -148,7 +134,7 @@ def canonical_cache_key(config, sweeps: int) -> str:
         f"ladder={_ladder_token(config)}",
         f"updater={config.updater}",
         f"dtype={resolve_dtype(config.dtype).name}",
-        f"block_shape={_resolved_block_shape(config, shape)}",
+        f"block_shape={config.resolved_engine.block_shape}",
         f"initial={_initial_token(config.initial)}",
         f"seed={int(config.seed)}",
         f"sweeps={int(sweeps)}",

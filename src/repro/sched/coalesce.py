@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..tpu.dtypes import resolve_dtype
-from .cache import _ladder_token, _model_token, _normalized_shape, _resolved_block_shape
+from .cache import _ladder_token, _model_token, _normalized_shape
 from .job import Job
 
 __all__ = ["compat_key", "BatchPlan", "Coalescer"]
@@ -31,8 +31,11 @@ def compat_key(config) -> tuple:
     Two jobs coalesce into one ensemble iff their keys are equal:
     (shape, updater, dtype, backend kind, (model token, ladder token),
     resolved block decomposition, resolved fused flag, resolved traced
-    flag).  The model token folds couplings kind, disorder seed, field
-    bits and lattice through :attr:`~repro.api.SimulationConfig.resolved_model`,
+    flag).  The last three come from
+    :attr:`~repro.api.SimulationConfig.resolved_engine`, the drivers' own
+    :func:`~repro.core.config.resolve_engine` call, so a batch is built
+    with exactly the engine each job would get solo.  The model token
+    folds couplings kind, disorder seed, field bits and lattice through :attr:`~repro.api.SimulationConfig.resolved_model`,
     so a flat ``field=`` and its ``ModelSpec`` spelling coalesce;
     distinct disorder realisations never share a batch (chains of one
     ensemble share one bond configuration).  Temperature and seed are
@@ -40,23 +43,16 @@ def compat_key(config) -> tuple:
     jobs with tracing on all ride one recorded sweep program per engine
     key.
     """
-    shape = _normalized_shape(config.shape)
-    backend = "tpu" if config.backend == "tpu" else "numpy"
-    fused = config.fused
-    if fused == "auto":
-        fused = backend == "numpy"
-    traced = getattr(config, "traced", "auto")
-    if traced == "auto":
-        traced = bool(fused)
+    engine = config.resolved_engine
     return (
-        shape,
+        _normalized_shape(config.shape),
         config.updater,
         resolve_dtype(config.dtype).name,
-        backend,
+        "tpu" if config.backend == "tpu" else "numpy",
         (_model_token(config), _ladder_token(config)),
-        _resolved_block_shape(config, shape),
-        bool(fused),
-        bool(traced),
+        engine.block_shape,
+        engine.fused,
+        engine.traced,
     )
 
 

@@ -236,6 +236,28 @@ class TestCheckpoints:
         resumed.run(9)
         assert np.array_equal(sim.lattice, resumed.lattice)
 
+    @pytest.mark.parametrize("driver", [IsingSimulation, EnsembleSimulation])
+    def test_restores_do_not_alias_the_checkpoint(self, driver):
+        # Two chains resumed from one checkpoint run independently and
+        # leave its word planes untouched.
+        if driver is IsingSimulation:
+            sim = IsingSimulation(128, 2.2, backend=packed_backend(), seed=8)
+        else:
+            sim = EnsembleSimulation(128, [2.0, 2.4], backend=packed_backend(), seed=8)
+        sim.run(3)
+        state = sim.state_dict()
+        words = {k: v.copy() for k, v in state["packed"]["words"].items()}
+        first = driver.from_state_dict(state)
+        first.run(5)
+        second = driver.from_state_dict(state)
+        for name, plane in words.items():
+            assert np.array_equal(state["packed"]["words"][name], plane)
+        second.run(5)
+        assert np.array_equal(
+            first._updater.to_plain(first._state),
+            second._updater.to_plain(second._state),
+        )
+
     def test_checkpoint_stores_word_planes(self):
         sim = IsingSimulation(128, 2.2, backend=packed_backend(), seed=8)
         sim.run(2)

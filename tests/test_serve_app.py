@@ -180,6 +180,24 @@ class TestErrors:
 
         with_app(scenario)
 
+    def test_engine_invalid_config_400(self):
+        # Configs no driver can build are refused at the door with the
+        # drivers' own message, never accepted and failed at batch build.
+        async def scenario(app):
+            status, _, body = await post_job(
+                app, config={"shape": [96, 96], "dtype": "packed"}
+            )
+            assert status == 400
+            assert "multiple of 128" in body["error"]
+            status, _, body = await post_job(
+                app, config=wire_config(fused=False, traced=True)
+            )
+            assert status == 400
+            assert "requires the fused sweep engine" in body["error"]
+            assert app.router.aggregate_cache_stats()["entries"] == 0
+
+        with_app(scenario)
+
     def test_wrong_method_405(self):
         async def scenario(app):
             status, _, body = await http_request(

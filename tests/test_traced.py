@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import SimulationConfig, load, simulate
 from repro.backend.numpy_backend import NumpyBackend
-from repro.core.config import default_block_shape, resolve_traced
+from repro.core.config import resolve_engine, resolve_traced
 from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation
@@ -27,7 +27,6 @@ from repro.core.traced import (
     TracedExecutor,
     record_traced_metrics,
 )
-from repro.sched.cache import _resolved_block_shape
 from repro.telemetry.report import RunTelemetry
 from repro.tpu.dtypes import BFLOAT16
 
@@ -300,20 +299,23 @@ class TestDefaultBlockShape:
         ],
     )
     def test_matches_driver_defaults(self, updater, expected):
-        assert default_block_shape(updater, (16, 20)) == expected
+        engine = resolve_engine(updater, "float32", "numpy", (16, 20))
+        assert engine.block_shape == expected
 
     def test_packed_takes_no_block(self):
         # Packed spins are words per compact quarter: no block for any
         # updater, in the drivers and in the scheduler's cache key alike.
         for updater in ("compact", "checkerboard"):
-            assert default_block_shape(updater, (128, 128), "packed") is None
+            engine = resolve_engine(updater, "packed", "numpy", (128, 128))
+            assert engine.block_shape is None
         sim = simulate(SimulationConfig(shape=128, dtype="packed"))
         assert sim.block_shape is None
-        assert _resolved_block_shape(
-            SimulationConfig(shape=128, dtype="packed"), (128, 128)
-        ) is None
+        assert SimulationConfig(
+            shape=128, dtype="packed"
+        ).resolved_engine.block_shape is None
 
     @pytest.mark.parametrize("updater", ["compact", "conv", "checkerboard"])
     def test_driver_consumes_helper(self, updater):
         implicit = IsingSimulation(16, 2.2, updater=updater)
-        assert implicit.block_shape == default_block_shape(updater, (16, 16))
+        engine = resolve_engine(updater, "float32", "numpy", (16, 16))
+        assert implicit.block_shape == engine.block_shape

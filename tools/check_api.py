@@ -22,6 +22,11 @@ Two invariants keep the public surface deliberate:
    missing from the facade is an API leak the first out-of-tree client
    would fossilize.
 
+4. **One engine decision, one place** — each engine-rejection message
+   (``ENGINE_MESSAGES``) occurs in the string literals of exactly one
+   module under ``src/``, so the rules cannot drift into re-spelled
+   copies.  Docstrings are prose, not rejections, and do not count.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -161,12 +166,73 @@ def check_serve_surface() -> list[str]:
     return errors
 
 
+#: Engine-rejection message fragments; each must live in one module.
+ENGINE_MESSAGES = (
+    "has no elementwise path",
+    "requires the fused sweep engine",
+    "does not take a block_shape",
+    "multiple of 128",
+    "has no packed kernels",
+    "requires field=0.0",
+)
+
+
+def string_literals(tree: ast.Module) -> list[str]:
+    """Every non-docstring string literal of a module.
+
+    Implicitly concatenated pieces arrive as one literal; an f-string
+    contributes its literal parts joined, each placeholder as ``{}``.
+    """
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    skip = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    literals = []
+    # ast.walk is breadth-first: an f-string comes before its parts.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            skip.update(id(value) for value in node.values)
+            literals.append("".join(
+                value.value if isinstance(value, ast.Constant) else "{}"
+                for value in node.values
+            ))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in skip:
+                literals.append(node.value)
+    return literals
+
+
+def check_engine_messages() -> list[str]:
+    """Each engine-rejection message occurs in exactly one src module."""
+    owners: dict[str, list[str]] = {message: [] for message in ENGINE_MESSAGES}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        rel = path.relative_to(REPO_ROOT / "src").as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=rel)
+        literals = string_literals(tree)
+        for message in ENGINE_MESSAGES:
+            if any(message in literal for literal in literals):
+                owners[message].append(rel)
+    return [
+        f"engine message {message!r} occurs in {len(modules)} modules "
+        f"({', '.join(modules) or 'none'}); keep it in one "
+        "(repro/core/config.py resolve_engine)"
+        for message, modules in owners.items()
+        if len(modules) != 1
+    ]
+
+
 def main() -> int:
     errors = (
         check_all_invariant()
         + check_all_resolves()
         + check_config_defaults()
         + check_serve_surface()
+        + check_engine_messages()
     )
     if errors:
         for line in errors:
