@@ -58,7 +58,7 @@ from .core.config import (
     backend_kind,
     checkpoint_kind,
     resolve_engine,
-    resolve_overlap,
+    resolve_tristate,
 )
 from .core.couplings import COUPLING_KINDS, BondCouplings
 from .core.distributed import DistributedIsing
@@ -382,7 +382,7 @@ class SimulationConfig:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        resolve_overlap(self.overlap)  # raises on junk
+        resolve_tristate("overlap", self.overlap)  # raises on junk
         resolve_dtype(self.dtype)  # raises on junk
         if isinstance(self.backend, str) and self.backend not in ("numpy", "tpu"):
             raise ValueError(

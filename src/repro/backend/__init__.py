@@ -1,4 +1,4 @@
-"""Backend op vocabulary: numpy execution with pluggable cost accounting."""
+"""Backend op vocabulary: numpy execution, priced per op on the TPU backend."""
 
 from .base import Backend
 from .numpy_backend import NumpyBackend

@@ -1,22 +1,27 @@
 """Backend op vocabulary for the Ising updaters.
 
 The paper expresses one lattice sweep entirely in terms of a small set of
-TensorFlow/XLA operations: batched matmul (MXU), elementwise arithmetic,
-comparison and exp (VPU), stateless uniform RNG (VPU), and slicing /
-concatenation / rolling (data formatting).  Every updater in
-:mod:`repro.core` is written against this vocabulary, so the same
-algorithm code runs on:
+TensorFlow/XLA operations: batched matmul, elementwise arithmetic,
+comparison and exp, stateless uniform RNG, and slicing / concatenation /
+rolling.  Every updater in :mod:`repro.core` is written against this
+vocabulary, so the same algorithm code runs on:
 
-* :class:`~repro.backend.numpy_backend.NumpyBackend` — plain numpy, no
-  accounting (fast path, used by the physics tests);
-* :class:`~repro.backend.tpu_backend.TPUBackend` — numpy execution plus
-  per-op time charging into a simulated TensorCore's profiler, and
-  optional bfloat16 storage rounding (used by the performance harness and
-  the bf16 study).
+* :class:`~repro.backend.numpy_backend.NumpyBackend` — plain numpy (fast
+  path, used by the physics tests);
+* :class:`~repro.backend.tpu_backend.TPUBackend` — the same numpy
+  execution, with every op priced on a simulated TensorCore (used by the
+  performance harness and the bf16 study).
 
-Every op quantizes its *result* with the backend dtype, which emulates a
-device that stores all intermediates in that format.  Matmuls accumulate
-in float32 regardless of dtype (MXU semantics).
+:class:`Backend` only computes.  What an op costs on the device is not
+its concern: the TPU backend prices each call from one table, keyed by
+op name, after the op has run.
+
+The vocabulary follows one naming rule.  A public method ending in
+``_into`` writes into caller-owned buffers and allocates nothing (the
+traced executor replays these); every other public method allocates its
+result.  Every op quantizes its *result* with the backend dtype, which
+emulates a device that stores all intermediates in that format.  Matmuls
+accumulate in float32 regardless of dtype (MXU semantics).
 """
 
 from __future__ import annotations
@@ -33,12 +38,7 @@ __all__ = ["Backend"]
 
 
 class Backend:
-    """Executes the op vocabulary in numpy, with charging hooks.
-
-    Subclasses override :meth:`_charge` to account for op cost; the base
-    implementation is a no-op, so ``Backend`` itself is a pure numpy
-    executor.
-    """
+    """Executes the op vocabulary in numpy; computes, never prices."""
 
     def __init__(self, dtype: DType | str = FLOAT32) -> None:
         self.dtype = resolve_dtype(dtype)
@@ -47,33 +47,13 @@ class Backend:
         # only — never serialized.
         self._qscratch: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- charging hook ---------------------------------------------------
-
-    def _charge(
-        self,
-        category: str,
-        *,
-        flops: float = 0.0,
-        bytes_moved: float = 0.0,
-        batch: float | None = None,
-    ) -> None:
-        """Record the cost of one op.  Overridden by accounting backends.
-
-        ``batch`` is the number of independent matrix blocks in a batched
-        matmul (drives the MXU pipeline-utilization ramp).
-        """
-
-    def _nbytes(self, *arrays: np.ndarray) -> float:
-        """Total HBM bytes of the given arrays under the backend dtype."""
-        return float(sum(a.size for a in arrays)) * self.dtype.itemsize
-
     # -- tensor materialisation -------------------------------------------
 
     def array(self, x) -> np.ndarray:
         """Materialise ``x`` as a device tensor (quantized to the dtype)."""
         return self.dtype.quantize(np.asarray(x, dtype=np.float32))
 
-    # -- MXU ---------------------------------------------------------------
+    # -- matmul ------------------------------------------------------------
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Batched matrix multiply with float32 accumulation.
@@ -83,66 +63,37 @@ class Backend:
         quantized on store.
         """
         out = np.matmul(a.astype(np.float32), b.astype(np.float32))
-        # FLOP count: 2 * (output elements) * (contraction length).
-        k = a.shape[-1]
-        batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * k,
-            bytes_moved=self._nbytes(a, b, out),
-            batch=batch,
-        )
         return self.dtype.quantize(out)
 
-    # -- VPU: elementwise --------------------------------------------------
-
-    def _elementwise(self, out: np.ndarray, *operands: np.ndarray, flops_per_elem: float = 1.0) -> np.ndarray:
-        self._charge(
-            "vpu",
-            flops=flops_per_elem * out.size,
-            bytes_moved=self._nbytes(*operands, out),
-        )
-        return self.dtype.quantize(out)
+    # -- elementwise ---------------------------------------------------------
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._elementwise(np.add(a, b), a, b)
+        return self.dtype.quantize(np.add(a, b))
 
     def subtract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._elementwise(np.subtract(a, b), a, b)
+        return self.dtype.quantize(np.subtract(a, b))
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._elementwise(np.multiply(a, b), a, b)
+        return self.dtype.quantize(np.multiply(a, b))
 
     def exp(self, a: np.ndarray) -> np.ndarray:
-        # Transcendentals cost several VPU ops; use the common estimate of
-        # ~8 flops per element for exp.  Energy-lowering flips produce
-        # positive exponents that may overflow float32 to +inf, which is
-        # the correct "always accept" ratio — silence the warning.
+        # Energy-lowering flips produce positive exponents that may
+        # overflow float32 to +inf, which is the correct "always accept"
+        # ratio — silence the warning.
         with np.errstate(over="ignore"):
             out = np.exp(a)
-        return self._elementwise(out, a, flops_per_elem=8.0)
+        return self.dtype.quantize(out)
 
     def less(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise a < b as 0.0/1.0 (devices keep masks in float)."""
-        out = np.less(a, b).astype(np.float32)
-        return self._elementwise(out, a, b)
+        return self.dtype.quantize(np.less(a, b).astype(np.float32))
 
     def where(self, cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.where(cond != 0, a, b).astype(np.float32)
-        return self._elementwise(out, cond, a, b)
+        return self.dtype.quantize(np.where(cond != 0, a, b).astype(np.float32))
 
     def add_at_slice(self, target: np.ndarray, index: tuple, update: np.ndarray) -> np.ndarray:
-        """In-place ``target[index] += update`` (boundary compensation).
-
-        Counted as formatting plus a vector add: the dominant cost on real
-        hardware is the strided gather/scatter of the boundary slab.
-        """
+        """In-place ``target[index] += update`` (boundary compensation)."""
         target[index] = self.dtype.quantize(target[index] + update)
-        self._charge(
-            "formatting",
-            flops=float(update.size),
-            bytes_moved=2.0 * self._nbytes(update),
-        )
         return target
 
     def shifted_pair_sum(self, a: np.ndarray, axis: int, offset: int) -> np.ndarray:
@@ -166,12 +117,7 @@ class Backend:
             shifted[..., dst] = a[..., src]
         else:
             shifted[..., dst, :] = a[..., src, :]
-        out = (a + shifted).astype(np.float32)
-        # 2-tap im2col conv: 2 MACs = 4 flops per output element.
-        self._charge(
-            "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
-        return self.dtype.quantize(out)
+        return self.dtype.quantize((a + shifted).astype(np.float32))
 
     def conv2d_neighbors(self, a: np.ndarray) -> np.ndarray:
         """4-neighbour sum on the torus as one fused convolution.
@@ -179,8 +125,7 @@ class Backend:
         This is the appendix-7.2 implementation: a ``tf.nn.conv2d`` with a
         cross-shaped 3x3 kernel, which the MXU executes far more
         efficiently than the band matmuls because each loaded operand is
-        reused across the whole kernel window.  Charged to the "conv"
-        category so the cost model can rate it separately.
+        reused across the whole kernel window.
 
         The lattice axes are the trailing two, so a ``(batch, rows,
         cols)`` ensemble stack convolves each chain independently.
@@ -191,13 +136,9 @@ class Backend:
             + np.roll(a, 1, axis=-1)
             + np.roll(a, -1, axis=-1)
         ).astype(np.float32)
-        # im2col-style dense conv: 2 flops per kernel tap per output element.
-        self._charge(
-            "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
         return self.dtype.quantize(out)
 
-    # -- VPU: RNG ------------------------------------------------------------
+    # -- RNG -----------------------------------------------------------------
 
     def random_uniform(
         self, shape: tuple[int, ...], stream: PhiloxStream
@@ -209,22 +150,15 @@ class Backend:
         ``shape`` must lead with the chain axis and every chain draws
         from its own key — the draw contract of the batched ensemble.
         """
-        out = stream.uniform(shape)
-        # Philox4x32-10: 10 rounds x (2 mul + 4 xor/add) per 4 words, plus
-        # the int->float conversion: ~20 flops per element is a fair model.
-        self._charge(
-            "vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out)
-        )
-        return self.dtype.quantize(out)
+        return self.dtype.quantize(stream.uniform(shape))
 
     # -- in-place (fused) vocabulary ---------------------------------------
     #
     # Every ``*_into`` op is bit-identical to its allocating twin — same
-    # numpy computation, same result quantization, same _charge call —
-    # but writes into caller-provided buffers so steady-state sweeps make
-    # zero heap allocations.  On accounting backends the modeled cost is
-    # unchanged: the fused engine is a host-side optimisation, not a
-    # change to the simulated device.
+    # numpy computation, same result quantization — but writes into
+    # caller-provided buffers so steady-state sweeps make zero heap
+    # allocations.  A twin pair is priced alike: the fused engine is a
+    # host-side optimisation, not a change to the simulated device.
 
     def _quantize_into(self, out: np.ndarray) -> np.ndarray:
         """Apply the dtype's store rounding to ``out`` in place."""
@@ -240,41 +174,28 @@ class Backend:
             self._qscratch[out.shape] = scratch
         return rounder(out, scratch[0], scratch[1])
 
-    def _elementwise_into(
-        self, out: np.ndarray, *operands: np.ndarray, flops_per_elem: float = 1.0
-    ) -> np.ndarray:
-        self._charge(
-            "vpu",
-            flops=flops_per_elem * out.size,
-            bytes_moved=self._nbytes(*operands, out),
-        )
-        return self._quantize_into(out)
-
     def add_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.add(a, b, out=out)
-        return self._elementwise_into(out, a, b)
+        return self._quantize_into(out)
 
     def subtract_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.subtract(a, b, out=out)
-        return self._elementwise_into(out, a, b)
+        return self._quantize_into(out)
 
     def multiply_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(a, b, out=out)
-        return self._elementwise_into(out, a, b)
+        return self._quantize_into(out)
 
     def exp_into(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
             np.exp(a, out=out)
-        return self._elementwise_into(out, a, flops_per_elem=8.0)
+        return self._quantize_into(out)
 
     def less_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Elementwise a < b into a float32 buffer as 0.0/1.0."""
         np.less(a, b, out=out, casting="unsafe")
         # 0.0/1.0 are exact in every dtype, so the store rounding the
         # allocating twin applies is the identity here — skip the pass.
-        self._charge(
-            "vpu", flops=float(out.size), bytes_moved=self._nbytes(a, b, out)
-        )
         return out
 
     def take_into(self, table: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -286,34 +207,19 @@ class Backend:
         a bias add (see :class:`~repro.core.accept.AcceptanceTable`), and
         wrap is also measurably faster than numpy's bounds-checked mode.
         The table entries are already quantized device values, so no store
-        rounding is needed.  Charged as a memory-bound gather: one lookup
-        per element, index + result traffic.
+        rounding is needed.
         """
         np.take(table, indices, out=out, mode="wrap")
-        self._charge(
-            "formatting",
-            flops=float(out.size),
-            bytes_moved=self._nbytes(out) + 4.0 * indices.size,
-        )
         return out
 
     def matmul_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`matmul` (float32 accumulation)."""
         np.matmul(a, b, out=out)
-        k = a.shape[-1]
-        batch = out.size / (out.shape[-1] * out.shape[-2]) if out.ndim >= 2 else 1.0
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * k,
-            bytes_moved=self._nbytes(a, b, out),
-            batch=batch,
-        )
         return self._quantize_into(out)
 
     def uniform_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """In-place twin of :meth:`random_uniform` (same counter advance)."""
         stream.uniform_into(out)
-        self._charge("vpu", flops=20.0 * out.size, bytes_moved=self._nbytes(out))
         return self._quantize_into(out)
 
     def band_cross_matmul_into(self, grid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -324,13 +230,12 @@ class Backend:
         neighbour sums — sums of at most two ±1 values, exact in every
         supported dtype, hence bit-identical to the matmul formulation no
         matter how they are computed.  The host executes the cheap slice
-        adds; the cost model is charged for the op sequence the device
-        would run (two band matmuls plus the add), keeping modeled
-        numbers independent of the fused engine.
+        adds; the device prices the op sequence it would run (two band
+        matmuls plus the add), keeping modeled numbers independent of the
+        fused engine.
         """
         if out is grid:
             raise ValueError("out must not alias the input")
-        r, c = grid.shape[-2:]
         # Left neighbours (block column j-1), zero at the block edge.
         out[..., :, 1:] = grid[..., :, :-1]
         out[..., :, :1] = 0.0
@@ -338,20 +243,6 @@ class Backend:
         np.add(out[..., :, :-1], grid[..., :, 1:], out=out[..., :, :-1])
         np.add(out[..., 1:, :], grid[..., :-1, :], out=out[..., 1:, :])
         np.add(out[..., :-1, :], grid[..., 1:, :], out=out[..., :-1, :])
-        batch = out.size / (r * c)
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * c,
-            bytes_moved=self._nbytes(grid, out) + c * c * self.dtype.itemsize,
-            batch=batch,
-        )
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * r,
-            bytes_moved=self._nbytes(grid, out) + r * r * self.dtype.itemsize,
-            batch=batch,
-        )
-        self._charge("vpu", flops=float(out.size), bytes_moved=3.0 * self._nbytes(out))
         return self._quantize_into(out)
 
     def band_pair_matmul_into(
@@ -362,7 +253,7 @@ class Backend:
         ``(a @ K_hat)``, ``(K_hat^T @ a)`` and their transposes gather
         ``a[i] + a[i +/- 1]`` along one block axis with no wrap — sums of
         two ±1 values, exact in every dtype, so the slice formulation is
-        bit-identical to the MXU product.  Charged as the band matmul the
+        bit-identical to the MXU product.  Priced as the band matmul the
         device would run (see :meth:`band_cross_matmul_into`).
         """
         if axis not in (-1, -2):
@@ -378,13 +269,6 @@ class Backend:
             np.add(out[..., dst], a[..., src], out=out[..., dst])
         else:
             np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
-        k = out.shape[axis]
-        self._charge(
-            "mxu",
-            flops=2.0 * out.size * k,
-            bytes_moved=self._nbytes(a, out) + k * k * self.dtype.itemsize,
-            batch=out.size / (out.shape[-1] * out.shape[-2]),
-        )
         return self._quantize_into(out)
 
     def acceptance_index_into(
@@ -406,19 +290,13 @@ class Backend:
         raw float32 — NOT through the dtype's store rounding — because
         table offsets for large ensembles exceed bfloat16's integer
         range; every value involved is an exact float32 integer below
-        2**24, so the final int cast is exact.  Charged as a short VPU
-        chain (same modeled cost as the 10-slot formulation it replaced).
+        2**24, so the final int cast is exact.
         """
         np.multiply(sigma, np.float32(5.0), out=fscratch)
         np.add(fscratch, nn, out=fscratch)
         if offsets is not None:
             np.add(fscratch, offsets, out=fscratch)
         np.copyto(idx_out, fscratch, casting="unsafe")
-        self._charge(
-            "vpu",
-            flops=(5.0 if offsets is not None else 4.0) * idx_out.size,
-            bytes_moved=self._nbytes(sigma, nn) + 4.0 * idx_out.size,
-        )
         return idx_out
 
     @staticmethod
@@ -442,18 +320,14 @@ class Backend:
         return out
 
     def roll_into(self, a: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.ndarray:
-        self._roll_raw(a, shift, axis, out)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
-        return out
+        return self._roll_raw(a, shift, axis, out)
 
     def copy_into(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, a)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
         return out
 
     def slice_copy_into(self, a: np.ndarray, index: tuple, out: np.ndarray) -> np.ndarray:
         np.copyto(out, a[index])
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
         return out
 
     def add_at_slice_into(
@@ -469,11 +343,6 @@ class Backend:
         np.add(view, update, out=slab)
         self._quantize_into(slab)
         np.copyto(view, slab)
-        self._charge(
-            "formatting",
-            flops=float(update.size),
-            bytes_moved=2.0 * self._nbytes(update),
-        )
         return target
 
     def assign_at_slice_into(
@@ -485,8 +354,8 @@ class Backend:
         boundary slab rolls, the entry that wrapped around the local edge
         is replaced by the remote core's slab.  The store is bookkeeping
         the device fuses into the roll it just performed (the same bytes
-        were already charged there), so this op books no additional cost
-        — but routing it through the backend instead of a raw indexed
+        were already priced there), so the device leaves it unpriced —
+        but routing it through the backend instead of a raw indexed
         store keeps it visible to the traced executor's recording proxy.
         ``value`` must already hold quantized device values (it always
         does: halos are slices of device tensors).
@@ -511,9 +380,6 @@ class Backend:
             np.add(out[..., dst], a[..., src], out=out[..., dst])
         else:
             np.add(out[..., dst, :], a[..., src, :], out=out[..., dst, :])
-        self._charge(
-            "conv", flops=4.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
         return self._quantize_into(out)
 
     def conv2d_neighbors_into(
@@ -531,39 +397,23 @@ class Backend:
         np.add(out, tmp, out=out)
         self._roll_raw(a, -1, -1, tmp)
         np.add(out, tmp, out=out)
-        self._charge(
-            "conv", flops=2.0 * 9.0 * out.size, bytes_moved=self._nbytes(a, out)
-        )
         return self._quantize_into(out)
 
     # -- packed (multi-spin) vocabulary ------------------------------------
     #
     # Word kernels of the ``packed`` dtype: 64 spins per uint64 word,
     # little-endian bit order (see repro.backend.packed_ops for the
-    # representation contract).  These ops charge the "alu" cost-model
-    # category — integer word work on the vector unit's elementwise
-    # pipe, NOT matmul parity — and account *actual* buffer bytes
-    # (planes mix uint64 words, uint32 draws and uint8/bool scratch, so
-    # the dtype-itemsize accounting of ``_nbytes`` would be wrong).
-
-    @staticmethod
-    def _raw_nbytes(*arrays: np.ndarray) -> float:
-        """Actual HBM bytes of mixed-width packed buffers."""
-        return float(sum(a.nbytes for a in arrays))
+    # representation contract) — integer word work on the vector unit's
+    # elementwise pipe, not matmul parity.
 
     def packed_bits_into(self, stream: PhiloxStream, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` (C-contiguous uint32) with raw Philox words.
 
         Same draw and counter advance as ``stream.bits_into(out)`` —
-        ``ceil(out.size / 4)`` blocks — with the generator cost charged
-        at the backend's RNG rate (20 flops per 32-bit word, matching
-        :meth:`uniform_into` per word drawn).  The words are raw: the
-        caller owns the lane split and threshold comparison.
+        ``ceil(out.size / 4)`` blocks.  The words are raw: the caller
+        owns the lane split and threshold comparison.
         """
         stream.bits_into(out)
-        self._charge(
-            "alu", flops=20.0 * out.size, bytes_moved=self._raw_nbytes(out)
-        )
         return out
 
     def packed_rshift_into(self, a: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
@@ -574,9 +424,6 @@ class Backend:
         ``uint32 -> uniform`` mapping).
         """
         np.right_shift(a, a.dtype.type(shift), out=out)
-        self._charge(
-            "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, out)
-        )
         return out
 
     def packed_xor_into(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -589,9 +436,6 @@ class Backend:
         packed vocabulary.
         """
         np.bitwise_xor(a, b, out=out)
-        self._charge(
-            "alu", flops=float(out.size), bytes_moved=self._raw_nbytes(a, b, out)
-        )
         return out
 
     def packed_shift_cols_into(
@@ -608,11 +452,6 @@ class Backend:
         if out is words or tmp is words or tmp is out:
             raise ValueError("words, out and tmp must be distinct buffers")
         packed_ops.shift_cols_into(words, direction, out, tmp)
-        self._charge(
-            "alu",
-            flops=3.0 * out.size,
-            bytes_moved=self._raw_nbytes(words, out),
-        )
         return out
 
     def packed_compare_pack_into(
@@ -627,16 +466,9 @@ class Backend:
         """Pack the acceptance mask ``values < threshold`` into words.
 
         See :func:`repro.backend.packed_ops.compare_pack_into` for shape
-        and aliasing contracts.  Charged as half a word-op per site lane
-        (the compare and the byte-pack passes both run at full vector
-        width over sub-word lanes).
+        and aliasing contracts.
         """
         packed_ops.compare_pack_into(values, threshold, out, cmp, byte_lo, byte_tmp)
-        self._charge(
-            "alu",
-            flops=0.5 * values.size,
-            bytes_moved=self._raw_nbytes(values, out),
-        )
         return out
 
     def packed_full_adder_into(
@@ -659,11 +491,6 @@ class Backend:
         aliasing contract.
         """
         packed_ops.full_adder_into(d1, d2, d3, d4, low, bit1, bit2, s1, s2)
-        self._charge(
-            "alu",
-            flops=12.0 * low.size,
-            bytes_moved=self._raw_nbytes(d1, d2, d3, d4, low, bit1, bit2),
-        )
 
     def packed_flip_select_into(
         self,
@@ -684,60 +511,35 @@ class Backend:
         if out is tmp:
             raise ValueError("out and tmp must be distinct buffers")
         packed_ops.flip_select_into(low, bit1, bit2, r1, r0, out, tmp)
-        self._charge(
-            "alu",
-            flops=9.0 * out.size,
-            bytes_moved=self._raw_nbytes(low, bit1, bit2, r1, r0, out),
-        )
         return out
 
     def packed_pack(self, bits: np.ndarray) -> np.ndarray:
         """Pack a 0/1 site plane into uint64 words (allocating; boundary only).
 
-        Wraps :func:`repro.baselines.multispin.pack_bits` with a
-        formatting charge — state import/export, never the sweep hot
-        path (steady-state packed sweeps call only ``*_into`` ops).
+        :func:`repro.backend.packed_ops.pack_bits` — state import/export,
+        never the sweep hot path (steady-state packed sweeps call only
+        ``*_into`` ops).
         """
-        from ..baselines.multispin import pack_bits
-
-        out = pack_bits(bits)
-        self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(out))
-        return out
+        return packed_ops.pack_bits(bits)
 
     def packed_unpack(self, words: np.ndarray, cols: int) -> np.ndarray:
         """Unpack uint64 words to a 0/1 site plane (allocating; boundary only)."""
-        from ..baselines.multispin import unpack_bits
+        return packed_ops.unpack_bits(words, cols)
 
-        out = unpack_bits(words, cols)
-        self._charge("formatting", bytes_moved=2.0 * self._raw_nbytes(words))
-        return out
-
-    # -- data formatting -------------------------------------------------------
+    # -- layout: roll, concat, slice, reshape, copy ---------------------------
 
     def roll(self, a: np.ndarray, shift: int, axis: int) -> np.ndarray:
-        out = np.roll(a, shift, axis=axis)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
-        return out
+        return np.roll(a, shift, axis=axis)
 
     def concat(self, parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
-        out = np.concatenate(parts, axis=axis)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
-        return out
+        return np.concatenate(parts, axis=axis)
 
     def slice_copy(self, a: np.ndarray, index: tuple) -> np.ndarray:
         """Materialise a copy of ``a[index]`` (XLA slices always copy)."""
-        out = np.ascontiguousarray(a[index])
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(out))
-        return out
+        return np.ascontiguousarray(a[index])
 
     def reshape(self, a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        out = np.reshape(a, shape)
-        # Logical reshapes are free on layouts that match tiling; charge a
-        # token byte count so pathological reshape-heavy code is visible.
-        self._charge("formatting", bytes_moved=0.0)
-        return out
+        return np.reshape(a, shape)
 
     def copy(self, a: np.ndarray) -> np.ndarray:
-        out = np.array(a, dtype=np.float32, copy=True)
-        self._charge("formatting", bytes_moved=2.0 * self._nbytes(a))
-        return out
+        return np.array(a, dtype=np.float32, copy=True)

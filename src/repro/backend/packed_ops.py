@@ -6,7 +6,8 @@ methods of :class:`~repro.backend.base.Backend`: every function is an
 packed sweep performs no heap allocation — the same contract the fused
 float kernels honour (see ``docs/packed_engine.md``).
 
-Representation (shared with :mod:`repro.baselines.multispin`):
+Representation (shared with the :mod:`repro.baselines.multispin` test
+oracle, which imports :func:`pack_bits` / :func:`unpack_bits` from here):
 
 * a packed plane is a ``(..., rows, cols/64)`` uint64 array, one compact
   quarter per plane, with optional leading batch axes;
@@ -31,6 +32,8 @@ import sys
 import numpy as np
 
 __all__ = [
+    "pack_bits",
+    "unpack_bits",
     "pack_bool_into",
     "compare_pack_into",
     "shift_cols_into",
@@ -89,6 +92,51 @@ def site_values_u16(bits: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return lanes.reshape(shape)
 
 
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack a (rows, cols) 0/1 array into (rows, cols/64) uint64 words.
+
+    Bit ``j`` of word ``w`` holds column ``64*w + j`` (LSB-first /
+    little-endian within the word), so shifting words left by one moves
+    each bit to one column higher.  ``cols`` must be a multiple of 64;
+    the row count is unconstrained.  Returns a fresh native-order
+    uint64 array whose word *values* are host-independent — this is the
+    word layout shared by the packed engine (:mod:`repro.core.packed`),
+    the ``packed`` checkpoint payload and the
+    :class:`~repro.baselines.multispin.MultispinState` test oracle.
+    """
+    rows, cols = bits.shape
+    if cols % _WORD:
+        raise ValueError(f"columns ({cols}) must be a multiple of {_WORD}")
+    packed8 = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    if not packed8.flags.c_contiguous:
+        packed8 = np.ascontiguousarray(packed8)
+    # Compose the 8 bytes little-endian explicitly: a bare np.uint64 view
+    # would read them in *host* order, flipping which column each bit
+    # addresses on big-endian machines.  astype(uint64) then normalises
+    # to the native representation so downstream shifts stay fast; the
+    # word *values* are host-independent.
+    return packed8.view(np.dtype("<u8")).astype(np.uint64, copy=False)
+
+
+def unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits`: (rows, cols/64) words → (rows, cols) 0/1.
+
+    ``cols`` is the unpacked column count (it cannot be recovered from
+    the word array alone when the last word is partially used, so the
+    caller states it; the packed engine keeps it in ``quarter_shape``).
+    Accepts words in any byte order (e.g. read from a foreign-endian
+    checkpoint): values are re-encoded as little-endian bytes before the
+    bit unpack, mirroring :func:`pack_bits`'s explicit ``'<u8'`` layout.
+    Returns a fresh uint8 array.
+    """
+    rows = words.shape[0]
+    le_words = np.ascontiguousarray(words).astype(np.dtype("<u8"), copy=False)
+    flat = np.unpackbits(
+        le_words.view(np.uint8), axis=-1, bitorder="little"
+    )
+    return flat[:, :cols].reshape(rows, cols)
+
+
 def pack_bool_into(
     cmp: np.ndarray,
     out: np.ndarray,
@@ -97,7 +145,7 @@ def pack_bool_into(
 ) -> np.ndarray:
     """Pack a boolean site plane into uint64 words without allocating.
 
-    The in-place analogue of :func:`repro.baselines.multispin.pack_bits`
+    The in-place analogue of :func:`pack_bits`
     (``np.packbits`` has no ``out=``): eight strided shift-OR passes
     compose each byte LSB-first, then the byte plane is reinterpreted as
     little-endian uint64 words — bit ``j`` of word ``w`` is site column

@@ -27,57 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..backend.packed_ops import pack_bits, unpack_bits
 from ..core.lattice import plain_to_quarters, quarters_to_plain
 from ..rng.streams import PhiloxStream
 
 __all__ = ["MultispinState", "MultispinUpdater", "pack_bits", "unpack_bits"]
 
 _WORD = 64
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into (rows, cols/64) uint64 words.
-
-    Bit ``j`` of word ``w`` holds column ``64*w + j`` (LSB-first /
-    little-endian within the word), so shifting words left by one moves
-    each bit to one column higher.  ``cols`` must be a multiple of 64;
-    the row count is unconstrained.  Returns a fresh native-order
-    uint64 array whose word *values* are host-independent — this is the
-    word layout shared by :class:`MultispinState`, the first-class
-    packed engine (:mod:`repro.core.packed`) and the ``packed``
-    checkpoint payload.
-    """
-    rows, cols = bits.shape
-    if cols % _WORD:
-        raise ValueError(f"columns ({cols}) must be a multiple of {_WORD}")
-    packed8 = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
-    if not packed8.flags.c_contiguous:
-        packed8 = np.ascontiguousarray(packed8)
-    # Compose the 8 bytes little-endian explicitly: a bare np.uint64 view
-    # would read them in *host* order, flipping which column each bit
-    # addresses on big-endian machines.  astype(uint64) then normalises
-    # to the native representation so downstream shifts stay fast; the
-    # word *values* are host-independent.
-    return packed8.view(np.dtype("<u8")).astype(np.uint64, copy=False)
-
-
-def unpack_bits(words: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`: (rows, cols/64) words → (rows, cols) 0/1.
-
-    ``cols`` is the unpacked column count (it cannot be recovered from
-    the word array alone when the last word is partially used, so the
-    caller states it; the packed engine keeps it in ``quarter_shape``).
-    Accepts words in any byte order (e.g. read from a foreign-endian
-    checkpoint): values are re-encoded as little-endian bytes before the
-    bit unpack, mirroring :func:`pack_bits`'s explicit ``'<u8'`` layout.
-    Returns a fresh uint8 array.
-    """
-    rows = words.shape[0]
-    le_words = np.ascontiguousarray(words).astype(np.dtype("<u8"), copy=False)
-    flat = np.unpackbits(
-        le_words.view(np.uint8), axis=-1, bitorder="little"
-    )
-    return flat[:, :cols].reshape(rows, cols)
 
 
 def _prev_col(words: np.ndarray) -> np.ndarray:

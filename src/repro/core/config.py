@@ -1,11 +1,8 @@
 """Shared simulation-configuration helpers, neutral of any driver.
 
-Historically :func:`resolve_fused` and the backend checkpoint helpers
-lived in :mod:`repro.core.simulation` and were imported by
-:mod:`repro.core.distributed` and :mod:`repro.core.ensemble` — a
-layering inversion (the distributed driver reaching *up* into the
-single-core driver for plumbing).  They live here now, below all three
-drivers; ``simulation.py`` re-exports the old names for compatibility.
+The knob normaliser (:func:`resolve_tristate`) and the backend
+checkpoint helpers live here, below all three drivers, so no driver
+reaches into another for plumbing.
 
 It owns the engine decision: :func:`resolve_engine` turns (updater,
 dtype, backend kind, shape, field, block_shape, fused, traced,
@@ -44,9 +41,7 @@ __all__ = [
     "Engine",
     "resolve_engine",
     "build_updater",
-    "resolve_fused",
-    "resolve_traced",
-    "resolve_overlap",
+    "resolve_tristate",
     "backend_kind",
     "backend_from_checkpoint",
     "check_checkpoint_dtype",
@@ -62,51 +57,28 @@ CHECKPOINT_SCHEMA = "checkpoint/v2"
 CHECKPOINT_KINDS = ("single", "ensemble", "distributed", "tempering")
 
 
-def resolve_fused(fused: "bool | str") -> "bool | str":
-    """Normalise a fused-engine selection to ``"auto"`` / True / False.
+def resolve_tristate(name: str, value: "bool | str") -> "bool | str":
+    """Normalise the tri-state knob ``name`` to ``"auto"`` / True / False.
 
-    ``"auto"`` resolves later against the backend family: enabled on plain
-    numpy backends (pure host speedup), disabled on accounting backends so
-    the calibrated TPU cost tables keep their historical op sequence.
+    The ``fused``, ``traced`` and ``overlap`` knobs share this check;
+    each resolves ``"auto"`` later against its own context:
+
+    * ``fused`` against the backend family — on for plain numpy backends
+      (pure host speedup), off for accounting backends so the calibrated
+      TPU cost tables keep their historical op sequence;
+    * ``traced`` against the resolved ``fused`` flag — the traced
+      executor replays a recorded fused sweep (an explicit
+      ``traced=True`` with the fused engine off is rejected by
+      :func:`resolve_engine`);
+    * ``overlap`` against the topology — the split-phase halo schedule
+      is on for hierarchical multi-pod meshes and off on flat tori.  The
+      chain is schedule-independent, so forcing either value is safe.
     """
-    if fused == "auto":
+    if value == "auto":
         return "auto"
-    if isinstance(fused, (bool, np.bool_)):
-        return bool(fused)
-    raise ValueError(f"fused must be 'auto', True or False, got {fused!r}")
-
-
-def resolve_traced(traced: "bool | str") -> "bool | str":
-    """Normalise a traced-executor selection to ``"auto"`` / True / False.
-
-    ``"auto"`` resolves later against the fused-engine selection: the
-    traced executor replays a recorded fused sweep, so it follows the
-    fused flag wherever that resolves True and stays off elsewhere.
-    An explicit ``traced=True`` with the fused engine off is rejected by
-    :func:`resolve_engine` — there is no elementwise trace to record.
-    """
-    if traced == "auto":
-        return "auto"
-    if isinstance(traced, (bool, np.bool_)):
-        return bool(traced)
-    raise ValueError(f"traced must be 'auto', True or False, got {traced!r}")
-
-
-def resolve_overlap(overlap: "bool | str") -> "bool | str":
-    """Normalise a halo-overlap selection to ``"auto"`` / True / False.
-
-    ``"auto"`` resolves later against the topology: the split-phase
-    schedule is enabled on hierarchical multi-pod meshes (where the slow
-    inter-pod tier is worth hiding) and stays off on flat tori, keeping
-    single-pod modeled timelines exactly as they were.  The chain itself
-    is schedule-independent — overlap only changes the modeled clock —
-    so forcing either value is always safe.
-    """
-    if overlap == "auto":
-        return "auto"
-    if isinstance(overlap, (bool, np.bool_)):
-        return bool(overlap)
-    raise ValueError(f"overlap must be 'auto', True or False, got {overlap!r}")
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} must be 'auto', True or False, got {value!r}")
 
 
 #: Updater names the single-core and ensemble drivers accept: "compact"
@@ -155,7 +127,7 @@ def resolve_engine(
             f"unknown updater {updater!r}; expected one of {sorted(_UPDATERS)}"
         )
     packed = dtype == "packed"
-    fused = resolve_fused(fused)
+    fused = resolve_tristate("fused", fused)
     if packed and fused is False:
         # The packed engine exists only in workspace-backed *_into form.
         raise ValueError(
@@ -164,7 +136,7 @@ def resolve_engine(
         )
     if fused == "auto":
         fused = packed or backend == "numpy"
-    traced = resolve_traced(traced)
+    traced = resolve_tristate("traced", traced)
     if traced == "auto":
         traced = fused
     if traced and not fused:

@@ -52,9 +52,7 @@ from .config import (
     build_updater,
     checkpoint_envelope,
     resolve_engine,
-    resolve_fused,
-    resolve_overlap,
-    resolve_traced,
+    resolve_tristate,
     unwrap_checkpoint,
 )
 from .fused import record_fused_metrics
@@ -273,9 +271,9 @@ class DistributedIsing:
             )
         self.seed = int(seed)
         self.sweeps_done = 0
-        self.fused_config = resolve_fused(fused)
-        self.traced_config = resolve_traced(traced)
-        self.overlap_config = resolve_overlap(overlap)
+        self.fused_config = resolve_tristate("fused", fused)
+        self.traced_config = resolve_tristate("traced", traced)
+        self.overlap_config = resolve_tristate("overlap", overlap)
         # "auto": hide halos exactly where the slow inter-pod tier makes
         # it worth modeling; flat single-pod timelines stay historical.
         multi_pod = pod_grid is not None and pod_grid[0] * pod_grid[1] > 1

@@ -42,8 +42,7 @@ from .config import (
     check_checkpoint_dtype,
     checkpoint_envelope,
     resolve_engine,
-    resolve_fused,
-    resolve_traced,
+    resolve_tristate,
     unwrap_checkpoint,
 )
 from .packed import packed_checkpoint, record_packed_metrics, restore_packed
@@ -148,8 +147,8 @@ class EnsembleSimulation:
         self.seeds = [self.seed] * self.n_chains
         self.sweeps_done = 0
         self.telemetry = telemetry
-        self.fused_config = resolve_fused(fused)
-        self.traced_config = resolve_traced(traced)
+        self.fused_config = resolve_tristate("fused", fused)
+        self.traced_config = resolve_tristate("traced", traced)
         # Quenched per-bond disorder: ferro collapses to None (the clean
         # fast path); real disorder currently runs on the plain-lattice
         # masked_conv updater, whose weighted neighbour sum carries the

@@ -37,8 +37,7 @@ from .config import (
     check_checkpoint_dtype,
     checkpoint_envelope,
     resolve_engine,
-    resolve_fused,
-    resolve_traced,
+    resolve_tristate,
     unwrap_checkpoint,
 )
 from .fused import record_fused_metrics
@@ -184,8 +183,8 @@ class IsingSimulation:
         self.updater_name = updater
         self.sweeps_done = 0
         self.telemetry = telemetry
-        self.fused_config = resolve_fused(fused)
-        self.traced_config = resolve_traced(traced)
+        self.fused_config = resolve_tristate("fused", fused)
+        self.traced_config = resolve_tristate("traced", traced)
         engine = resolve_engine(
             updater, self.backend.dtype.name, backend_kind(self.backend), self.shape,
             field=self.field, block_shape=block_shape,

@@ -27,7 +27,9 @@ recorded Philox stream exactly as an eager sweep would.  Soundness is
 checked, not assumed: if the recording sweep calls any *allocating*
 backend op (a cold cache, an updater outside the fused steady state),
 the trace is marked unsound and the executor falls back to eager sweeps
-permanently for that binding.
+permanently for that binding.  Which ops replay and which allocate is
+read off the backend's naming rule (:data:`REPLAYABLE_OPS`), not kept
+in a list here.
 
 A trace is bound to the identities of the state tensors and the stream
 it recorded.  Any change — checkpoint restore, ensemble roster rebuild,
@@ -54,68 +56,25 @@ __all__ = [
     "record_traced_metrics",
 ]
 
-#: The in-place backend vocabulary a steady-state fused sweep uses.
-#: Calls to these are recorded verbatim: same bound method, same buffer
-#: arguments, replayed in order.
-REPLAYABLE_OPS = frozenset(
-    {
-        "add_into",
-        "subtract_into",
-        "multiply_into",
-        "exp_into",
-        "less_into",
-        "take_into",
-        "matmul_into",
-        "uniform_into",
-        "band_cross_matmul_into",
-        "band_pair_matmul_into",
-        "acceptance_index_into",
-        "roll_into",
-        "copy_into",
-        "slice_copy_into",
-        "add_at_slice_into",
-        "assign_at_slice_into",
-        "shifted_pair_sum_into",
-        "conv2d_neighbors_into",
-        # Packed (multi-spin) word kernels — in-place, workspace-backed,
-        # same replay contract as the float *_into vocabulary.
-        "packed_bits_into",
-        "packed_rshift_into",
-        "packed_xor_into",
-        "packed_shift_cols_into",
-        "packed_compare_pack_into",
-        "packed_full_adder_into",
-        "packed_flip_select_into",
-    }
+#: The public backend vocabulary, split by its naming rule: an op whose
+#: name ends in ``_into`` writes into caller-owned buffers, every other
+#: public op allocates its result.
+_VOCABULARY = frozenset(
+    name
+    for name, attr in vars(Backend).items()
+    if not name.startswith("_") and callable(attr)
 )
 
-#: Backend ops that allocate fresh arrays.  Seeing one during a
-#: recording sweep means the sweep was not in its steady state (a cold
-#: cache, an elementwise code path) — the resulting trace could not be
-#: replayed faithfully, so it is marked unsound.
-ALLOCATING_OPS = frozenset(
-    {
-        "array",
-        "matmul",
-        "add",
-        "subtract",
-        "multiply",
-        "exp",
-        "less",
-        "where",
-        "add_at_slice",
-        "shifted_pair_sum",
-        "conv2d_neighbors",
-        "random_uniform",
-        "roll",
-        "concat",
-        "slice_copy",
-        "reshape",
-        "copy",
-        "packed_pack",
-        "packed_unpack",
-    }
-)
+#: The in-place ops a steady-state fused sweep uses.  Calls to these are
+#: recorded verbatim: same bound method, same buffer arguments, replayed
+#: in order.
+REPLAYABLE_OPS = frozenset(name for name in _VOCABULARY if name.endswith("_into"))
+
+#: Ops that allocate fresh arrays.  Seeing one during a recording sweep
+#: means the sweep was not in its steady state (a cold cache, an
+#: elementwise code path) — the resulting trace could not be replayed
+#: faithfully, so it is marked unsound.
+ALLOCATING_OPS = _VOCABULARY - REPLAYABLE_OPS
 
 
 class SweepTrace:

@@ -1,4 +1,10 @@
-"""The simulated TensorCore: cost model + profiler + HBM, per logical core."""
+"""The simulated TensorCore: cost model + profiler + HBM, per logical core.
+
+A core receives charges, it does not decide them.  What an op costs is
+priced by the TPU backend's table (:data:`repro.backend.tpu_backend.PRICES`)
+from the op's buffers; the core turns each (category, flops, bytes,
+batch) charge into modeled seconds and books them.
+"""
 
 from __future__ import annotations
 
@@ -14,10 +20,11 @@ __all__ = ["TensorCore"]
 class TensorCore:
     """One logical TPU v3 core of the simulated machine.
 
-    The TPUBackend bound to this core forwards every op's (category,
-    flops, bytes, batch) description here; :meth:`charge_op` converts it
-    to modeled seconds via the cost model and books them in the
-    profiler.  The mesh runtime charges communication time the same way.
+    The TPUBackend bound to this core prices every op it runs and
+    forwards each (category, flops, bytes, batch) charge here;
+    :meth:`charge_op` converts it to modeled seconds via the cost model
+    and books them in the profiler.  The mesh runtime charges
+    communication time the same way.
     """
 
     core_id: int

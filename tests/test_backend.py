@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import NumpyBackend
-from repro.backend.tpu_backend import TPUBackend
+from repro.backend import Backend, NumpyBackend
+from repro.backend.tpu_backend import PRICES, UNPRICED, TPUBackend
+from repro.core.traced import ALLOCATING_OPS, REPLAYABLE_OPS
 from repro.rng import PhiloxStream
 from repro.tpu.dtypes import BFLOAT16
 from repro.tpu.tensorcore import TensorCore
@@ -135,6 +136,61 @@ class TestTPUBackendCharging:
         tpu.matmul(a, k)
         categories = [entry for entry in core.op_log if entry[0] == "mxu"]
         assert categories[-1][3] == pytest.approx(35.0)  # 5 * 7 blocks
+
+
+class TestOpVocabulary:
+    """Every public op is priced by the TPU backend or explicitly unpriced."""
+
+    VOCABULARY = frozenset(
+        name
+        for name, attr in vars(Backend).items()
+        if not name.startswith("_") and callable(attr)
+    )
+
+    def test_every_op_is_priced_or_unpriced(self):
+        assert set(PRICES) | UNPRICED == self.VOCABULARY
+        assert not set(PRICES) & UNPRICED
+
+    def test_traced_sets_partition_the_vocabulary(self):
+        assert REPLAYABLE_OPS | ALLOCATING_OPS == self.VOCABULARY
+        assert not REPLAYABLE_OPS & ALLOCATING_OPS
+        assert all(name.endswith("_into") for name in REPLAYABLE_OPS)
+        assert not any(name.endswith("_into") for name in ALLOCATING_OPS)
+
+    def test_tpu_backend_only_wraps_the_base_ops(self):
+        own = {name for name in vars(TPUBackend) if not name.startswith("_")}
+        assert own == set(PRICES)
+        for name in own:
+            assert getattr(TPUBackend, name).__wrapped__ is getattr(Backend, name)
+
+    def test_unpriced_ops_book_nothing(self):
+        core = TensorCore(core_id=0, op_log=[])
+        tpu = TPUBackend(core)
+        target = tpu.array(np.zeros((4, 4)))
+        tpu.assign_at_slice_into(target, (0, slice(None)), tpu.array(np.ones(4)))
+        assert core.op_log == []
+        assert np.all(target[0] == 1.0)
+
+    def test_keyword_arguments_are_priced_like_positional(self):
+        positional = TensorCore(core_id=0, op_log=[])
+        keyword = TensorCore(core_id=0, op_log=[])
+        a = np.ones((4, 8), dtype=np.float32)
+        for core, kw in ((positional, False), (keyword, True)):
+            tpu = TPUBackend(core)
+            out = np.empty_like(a)
+            idx = np.empty((4, 8), dtype=np.int32)
+            if kw:
+                tpu.roll(a, 1, axis=0)
+                tpu.add_into(a, b=a, out=out)
+                tpu.acceptance_index_into(
+                    a, a, idx_out=idx, fscratch=out, offsets=a
+                )
+            else:
+                tpu.roll(a, 1, 0)
+                tpu.add_into(a, a, out)
+                tpu.acceptance_index_into(a, a, idx, out, a)
+        assert keyword.op_log == positional.op_log
+        assert positional.op_log[-1][1] == 5.0 * idx.size  # offsets priced
 
 
 class TestInPlaceTwins:

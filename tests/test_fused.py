@@ -11,7 +11,8 @@ from repro.core.accept import NN_VALUES, AcceptanceTable
 from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.fused import SweepWorkspace, record_fused_metrics
-from repro.core.simulation import IsingSimulation, resolve_fused
+from repro.core.config import resolve_tristate
+from repro.core.simulation import IsingSimulation
 from repro.rng import PhiloxStream
 from repro.core.update import acceptance_ratio
 from repro.telemetry import MetricsRegistry, RunTelemetry
@@ -349,11 +350,11 @@ class TestFusedTelemetry:
 
 class TestFusedConfig:
     def test_resolve_fused(self):
-        assert resolve_fused("auto") == "auto"
-        assert resolve_fused(True) is True
-        assert resolve_fused(False) is False
-        with pytest.raises(ValueError, match="fused"):
-            resolve_fused("yes")
+        assert resolve_tristate("fused", "auto") == "auto"
+        assert resolve_tristate("fused", True) is True
+        assert resolve_tristate("fused", False) is False
+        with pytest.raises(ValueError, match="fused must be"):
+            resolve_tristate("fused", "yes")
 
     def test_auto_enables_on_numpy_disables_on_tpu(self):
         numpy_sim = IsingSimulation((8, 8), 2.2, seed=1)

@@ -328,6 +328,91 @@ class TestChromeTrace:
             assert 0 <= span["args"]["accepted"] <= span["args"]["attempted"]
         assert trace["otherData"]["num_tempering_spans"] == 4
 
+    @staticmethod
+    def _every_span_kind():
+        from types import SimpleNamespace
+
+        from repro.tpu.profiler import Profiler
+        from repro.tpu.tensorcore import TensorCore
+
+        core = TensorCore(core_id=0, profiler=Profiler(record_trace=True))
+        core.charge_op("vpu", flops=10.0, bytes_moved=20.0)
+
+        def span(name, start, **extra):
+            return {"name": name, "start": start, "duration": 0.5, **extra}
+
+        runtime = SimpleNamespace(
+            overlap_log=[span(
+                "overlap", 1.0, comm_seconds=0.4, hidden_seconds=0.3,
+                exposed_seconds=0.1, permutes=4,
+            )],
+            fault_log=[span("retry", 2.0, collective="collective_permute")],
+        )
+        return SimpleNamespace(
+            pod=SimpleNamespace(cores=[core]),
+            runtime=runtime,
+            sched_log=[span("advance", 0.0, args={"chains": 2})],
+            traced_log=[span("replay", 0.0, args={"ops": 7})],
+            serve_log=[span("accept", 0.0), span("shed", 0.5)],
+            swap_log=[span("swap", 0.0, args={"attempted": 3, "accepted": 1})],
+        )
+
+    def test_every_span_kind_gets_its_track_in_order(self):
+        trace = chrome_trace(self._every_span_kind())
+        events = trace["traceEvents"]
+        tracks = [
+            (e["tid"], e["args"]["name"])
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        ]
+        assert tracks == [
+            (0, "core 0 (0, 0)"),
+            (1, "scheduler batches"),
+            (2, "traced replay"),
+            (3, "serve front door"),
+            (4, "tempering swaps"),
+            (5, "halo overlap"),
+            (6, "mesh faults"),
+        ]
+        cats = {e["tid"]: e["cat"] for e in events if e["ph"] == "X"}
+        assert [cats[tid] for tid in range(1, 7)] == [
+            "sched", "traced", "serve", "tempering", "overlap", "fault",
+        ]
+        spans = {e["cat"]: e for e in events if e["ph"] == "X"}
+        assert spans["sched"]["args"] == {"chains": 2}
+        assert spans["serve"]["args"] == {}
+        assert spans["overlap"]["args"] == {
+            "comm_seconds": 0.4, "hidden_seconds": 0.3,
+            "exposed_seconds": 0.1, "permutes": 4,
+        }
+        assert spans["fault"]["args"] == {"collective": "collective_permute"}
+        assert spans["fault"]["ts"] == 2.0e6
+        assert trace["otherData"] == {
+            "source": "repro.telemetry.trace",
+            "timeline": "modeled TPU seconds (not wall clock)",
+            "num_cores": 1,
+            "num_fault_spans": 1,
+            "num_sched_spans": 1,
+            "num_serve_spans": 2,
+            "num_traced_spans": 1,
+            "num_tempering_spans": 1,
+            "num_overlap_spans": 1,
+        }
+        assert list(trace["otherData"]) == [
+            "source", "timeline", "num_cores", "num_fault_spans",
+            "num_sched_spans", "num_serve_spans", "num_traced_spans",
+            "num_tempering_spans", "num_overlap_spans",
+        ]
+
+    def test_fault_spans_alone_are_not_trace_events(self):
+        from types import SimpleNamespace
+
+        source = SimpleNamespace(runtime=SimpleNamespace(fault_log=[
+            {"name": "retry", "start": 0.0, "duration": 1.0, "collective": "x"},
+        ]))
+        with pytest.raises(ValueError, match="no trace events"):
+            chrome_trace(source)
+
 
 # -- bench report schema ---------------------------------------------------
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import SimulationConfig, load, simulate
 from repro.backend.numpy_backend import NumpyBackend
-from repro.core.config import resolve_engine, resolve_traced
+from repro.core.config import resolve_engine, resolve_tristate
 from repro.core.distributed import DistributedIsing
 from repro.core.ensemble import EnsembleSimulation
 from repro.core.simulation import IsingSimulation
@@ -62,7 +62,7 @@ class TestResolve:
 
     def test_rejects_junk(self):
         with pytest.raises(ValueError, match="traced must be"):
-            resolve_traced("yes")
+            resolve_tristate("traced", "yes")
         with pytest.raises(ValueError, match="traced must be"):
             SimulationConfig(traced="sometimes")
 

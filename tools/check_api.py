@@ -27,6 +27,11 @@ Two invariants keep the public surface deliberate:
    module under ``src/``, so the rules cannot drift into re-spelled
    copies.  Docstrings are prose, not rejections, and do not count.
 
+5. **The backend computes, the device prices** — the compute-only
+   backend modules (``COMPUTE_ONLY_MODULES``) never mention ``_charge``
+   and hold no cost-category string literal (``COST_CATEGORIES``); op
+   prices live in ``repro/backend/tpu_backend.py`` alone.
+
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
@@ -226,6 +231,33 @@ def check_engine_messages() -> list[str]:
     ]
 
 
+#: Modules of the op vocabulary that must only compute.
+COMPUTE_ONLY_MODULES = ("repro/backend/base.py", "repro/backend/numpy_backend.py")
+
+#: The cost model's op categories, which only the pricing backend names.
+COST_CATEGORIES = ("mxu", "vpu", "alu", "formatting", "conv")
+
+
+def check_compute_only_backend() -> list[str]:
+    """The compute-only backend modules carry no cost accounting."""
+    errors = []
+    for rel in COMPUTE_ONLY_MODULES:
+        text = (REPO_ROOT / "src" / rel).read_text(encoding="utf-8")
+        if "_charge" in text:
+            errors.append(f"{rel}: mentions _charge; price ops in the TPU backend")
+        for node in ast.walk(ast.parse(text, filename=rel)):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value in COST_CATEGORIES
+            ):
+                errors.append(
+                    f"{rel}:{node.lineno}: cost category literal {node.value!r}; "
+                    "price ops in the TPU backend"
+                )
+    return errors
+
+
 def main() -> int:
     errors = (
         check_all_invariant()
@@ -233,6 +265,7 @@ def main() -> int:
         + check_config_defaults()
         + check_serve_surface()
         + check_engine_messages()
+        + check_compute_only_backend()
     )
     if errors:
         for line in errors:
